@@ -26,6 +26,7 @@ from .solver import (
     build_system,
     decide,
     is_intractable_set,
+    solve_circuits,
     verify_orientation,
 )
 
@@ -51,5 +52,6 @@ __all__ = [
     "is_intractable_set",
     "is_two_connected",
     "isomorphic",
+    "solve_circuits",
     "verify_orientation",
 ]

@@ -135,7 +135,8 @@ def disjoint_paths(
                     nxt = b[1]
                     flow[("out", cur)][b] -= 1
                     break
-            assert nxt is not None
+            if nxt is None:
+                raise ContractError("flow decomposition left a path unfinished")
             verts.append(nxt)
             cur = nxt
         edge_ids = []

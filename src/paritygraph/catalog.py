@@ -20,9 +20,9 @@ from itertools import combinations, product
 from . import fileio
 from .circuits import Parity, even_circuits
 from .errors import FixtureError
-from .gf2 import Gf2Matrix, nullspace_combinations
+from .gf2 import nullspace_combinations
 from .graphs import Multigraph, isomorphic
-from .solver import IntractableCertificate, ParityAssignment, decide
+from .solver import IntractableCertificate, ParityAssignment, circuit_matrix, decide
 
 CATALOG_NAMES = (
     "O1", "O2", "E1", "E2", "E3",
@@ -84,15 +84,7 @@ def _k23() -> Multigraph:
 
 def _unique_full_dependency(g: Multigraph) -> bool:
     evens = even_circuits(g)
-    cols = sorted({eid for c in evens for eid in c.edge_ids})
-    idx = {eid: i for i, eid in enumerate(cols)}
-    masks = []
-    for c in evens:
-        b = 0
-        for eid in c.edge_ids:
-            b |= 1 << idx[eid]
-        masks.append(b)
-    deps = nullspace_combinations(Gf2Matrix.from_bitmasks(masks, len(cols)))
+    deps = nullspace_combinations(circuit_matrix(evens)[0])
     return deps == [frozenset(range(len(evens)))]
 
 

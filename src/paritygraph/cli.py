@@ -81,7 +81,8 @@ def cmd_check(args) -> int:
         sys.stdout.write("INCOMPATIBLE\n")
         sys.stdout.write(fileio.emit_certificate_block(result))
         return EXIT_NEGATIVE
-    assert verify_orientation(g, j, result, args.max_circuits) is None
+    if verify_orientation(g, j, result, args.max_circuits) is not None:
+        raise ContractError("solver orientation fails verification")
     sys.stdout.write("COMPATIBLE\n")
     sys.stdout.write(fileio.emit_orientation_block(result))
     return EXIT_POSITIVE

@@ -8,11 +8,40 @@ column as pivot, which makes every result bit-for-bit deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 
 EXHAUSTIVE_NULLSPACE_DIM = 16
+
+
+def bits_to_indices(bits: int) -> list[int]:
+    """Positions of the set bits, ascending, peeled off lowest-first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def indices_to_bits(indices: Iterable[int]) -> int:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+def combination_walk(basis: Sequence[int]) -> Iterator[int]:
+    """Every nonempty XOR combination of ``basis``, in Gray-code order.
+
+    Step k flips the basis member at the lowest set bit of k, so each
+    combination costs one XOR.
+    """
+    acc = 0
+    for k in range(1, 1 << len(basis)):
+        acc ^= basis[(k & -k).bit_length() - 1]
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -103,22 +132,22 @@ def solve(a: Gf2Matrix, b: Sequence[int]) -> Union[tuple[int, ...], Inconsistenc
     work, pivots = _eliminate(a, b)
     for row_bits, combo, rhs_bit in work:
         if row_bits == 0 and rhs_bit:
-            rows = frozenset(i for i in range(a.n_rows) if (combo >> i) & 1)
-            return Inconsistency(rows)
+            return Inconsistency(frozenset(bits_to_indices(combo)))
     x = [0] * a.width
     for col, i in pivots.items():
         x[col] = work[i][2]  # reduced echelon: rhs bit is the value
     return tuple(x)
 
 
+def _by_size(rows: frozenset[int]) -> tuple[int, list[int]]:
+    return len(rows), sorted(rows)
+
+
 def left_nullspace_basis(a: Gf2Matrix) -> list[frozenset[int]]:
     """Row-index sets whose rows sum to zero, one per dependency."""
     work, _ = _eliminate(a, None)
-    basis = []
-    for row_bits, combo, _ in work:
-        if row_bits == 0 and combo:
-            basis.append(frozenset(i for i in range(a.n_rows) if (combo >> i) & 1))
-    basis.sort(key=lambda s: (len(s), sorted(s)))
+    basis = [frozenset(bits_to_indices(combo)) for row_bits, combo, _ in work if not row_bits]
+    basis.sort(key=_by_size)
     return basis
 
 
@@ -129,27 +158,11 @@ def nullspace_combinations(a: Gf2Matrix) -> list[frozenset[int]]:
     the basis is returned.
     """
     basis = left_nullspace_basis(a)
-    d = len(basis)
-    if d == 0:
-        return []
-    if d > EXHAUSTIVE_NULLSPACE_DIM:
+    if len(basis) > EXHAUSTIVE_NULLSPACE_DIM:
         return basis
-    packed = []
-    for s in basis:
-        bits = 0
-        for i in s:
-            bits |= 1 << i
-        packed.append(bits)
-    combos = set()
-    for mask in range(1, 1 << d):
-        bits = 0
-        for k in range(d):
-            if (mask >> k) & 1:
-                bits ^= packed[k]
-        if bits:
-            combos.add(bits)
     out = [
-        frozenset(i for i in range(a.n_rows) if (bits >> i) & 1) for bits in combos
+        frozenset(bits_to_indices(bits))
+        for bits in combination_walk([indices_to_bits(s) for s in basis])
     ]
-    out.sort(key=lambda s: (len(s), sorted(s)))
+    out.sort(key=_by_size)
     return out

@@ -4,9 +4,9 @@ orientations, and the skew-determinant count.
 An orientation under which every alternating circuit (the symmetric
 difference of two perfect matchings) is clockwise odd makes the number of
 perfect matchings computable as the square root of the determinant of the
-skew adjacency matrix.  The orientation itself is found with the same
-GF(2) machinery as the general parity solver, with constraint rows
-restricted to alternating circuits.
+skew adjacency matrix.  The orientation itself is found by the general
+parity solver's core, with constraint rows restricted to alternating
+circuits and every target odd.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from . import gf2
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,
     Circuit,
@@ -22,9 +21,9 @@ from .circuits import (
     circuit_from_edges,
     clockwise_parity,
 )
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, InputError, ResourceLimitError
 from .graphs import Multigraph, Orientation
-from .solver import IntractableCertificate
+from .solver import IntractableCertificate, ParityAssignment, solve_circuits
 
 
 def enumerate_perfect_matchings(
@@ -75,7 +74,7 @@ def alternating_circuits(
             seen.add(diff)
             try:
                 c = circuit_from_edges(g, diff)
-            except Exception:
+            except InputError:
                 continue  # the difference is a union of several circuits
             out.append(c)
     out.sort(key=lambda c: (len(c), c.edge_ids))
@@ -87,34 +86,7 @@ def find_pfaffian_orientation(
 ) -> Union[Orientation, IntractableCertificate]:
     """An orientation making every alternating circuit clockwise odd, or a
     certificate (over alternating circuits) that none exists."""
-    base = Orientation.reference(g)
-    circs = alternating_circuits(g, cap)
-    if not circs:
-        return base
-    cols = sorted({eid for c in circs for eid in c.edge_ids})
-    idx = {eid: i for i, eid in enumerate(cols)}
-    masks = []
-    rhs = []
-    for c in circs:
-        bits = 0
-        for eid in c.edge_ids:
-            bits |= 1 << idx[eid]
-        masks.append(bits)
-        rhs.append(1 if clockwise_parity(base, c) != Parity.ODD else 0)
-    a = gf2.Gf2Matrix.from_bitmasks(masks, len(cols))
-    result = gf2.solve(a, tuple(rhs))
-    if isinstance(result, gf2.Inconsistency):
-        from .solver import _minimal_odd_combination
-
-        rows = _minimal_odd_combination(a, tuple(rhs), result.row_combination)
-        chosen = tuple(circs[i] for i in sorted(rows))
-        observed = sum(
-            1 for c in chosen if clockwise_parity(base, c) == Parity.EVEN
-        ) % 2
-        # the all-odd target prescribes zero clockwise-even circuits
-        return IntractableCertificate(chosen, Parity(observed), Parity.EVEN)
-    flips = [cols[i] for i, bit in enumerate(result) if bit]
-    return base.with_flipped(flips)
+    return solve_circuits(g, alternating_circuits(g, cap), ParityAssignment.all_odd())
 
 
 def verify_pfaffian(g: Multigraph, o: Orientation, cap: int = DEFAULT_CIRCUIT_CAP) -> bool:

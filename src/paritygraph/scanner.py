@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .catalog import EVEN_CIRCUIT_COUNT, PARITY_RULE, WITNESS_BASES, base_graph
 from .circuits import (
@@ -23,7 +23,8 @@ from .circuits import (
     circuit_from_edges,
     enumerate_circuits,
 )
-from .errors import ResourceLimitError
+from .errors import ContractError, ResourceLimitError
+from .gf2 import bits_to_indices, indices_to_bits
 from .graphs import Multigraph, find_isomorphism
 from .solver import ParityAssignment
 from .transforms import (
@@ -141,27 +142,102 @@ def _lift_base_circuits(
     return tuple(out)
 
 
-def _connected_mask(bit_edges, mask: int) -> bool:
-    verts = {}
-    parent: dict[int, int] = {}
+def _edge_subsets(
+    g: Multigraph, min_size: int, budget: int
+) -> Iterator[tuple[int, frozenset[int]]]:
+    """(mask, edge ids) of each connected edge subset of at least
+    ``min_size`` edges whose every vertex has degree >= 2; a subgraph with
+    a vertex of lower degree is neither a splitting of a base nor an odd
+    circuit plus arcs.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Bit i of a mask is ``g.edges[i]``.  Masks come lazily in (size, mask)
+    order, by Gosper's hack.  Every mask of at least ``min_size`` edges
+    counts against ``budget`` before filtering; the first one over it
+    raises ResourceLimitError.
+    """
+    edges = g.edges
+    m = len(edges)
+    incident: dict[int, int] = {v: 0 for v in g.vertex_ids}
+    loop_bits = 0
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+        if e.is_loop:
+            loop_bits |= 1 << i
+    stars = list(incident.values())
+    touching = [incident[e.u] | incident[e.v] for e in edges]  # edges sharing a vertex
 
-    for i, (u, v) in enumerate(bit_edges):
-        if not (mask >> i) & 1:
+    def connected(mask: int) -> bool:
+        reached = mask & -mask
+        frontier = reached
+        while frontier:
+            grown = 0
+            for i in bits_to_indices(frontier):
+                grown |= touching[i]
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        return reached == mask
+
+    examined = 0
+    for size in range(max(min_size, 1), m + 1):
+        mask = (1 << size) - 1
+        while not mask >> m:
+            examined += 1
+            if examined > budget:
+                raise ResourceLimitError(
+                    f"witness scan budget of {budget} subsets exhausted; "
+                    f"the search covered subsets of at most {size} edges", budget
+                )
+            # a vertex of degree 1 has a single, non-loop edge in the subset
+            if all(
+                not (x := mask & star) or x & (x - 1) or x & loop_bits
+                for star in stars
+            ) and connected(mask):
+                yield mask, frozenset(edges[i].id for i in bits_to_indices(mask))
+            low = mask & -mask
+            high = mask + low
+            mask = (((high ^ mask) >> 2) // low) | high
+
+
+def _circuit_masks(
+    g: Multigraph, cap: int
+) -> tuple[list[int], list[tuple[int, frozenset[int]]]]:
+    """Even circuit masks, and (mask, edge ids) per odd circuit, with the
+    bit layout of _edge_subsets."""
+    bit_of = {e.id: i for i, e in enumerate(g.edges)}
+    even: list[int] = []
+    odd: list[tuple[int, frozenset[int]]] = []
+    for c in enumerate_circuits(g, cap):
+        mask = indices_to_bits(bit_of[eid] for eid in c.edge_ids)
+        if c.is_even:
+            even.append(mask)
+        else:
+            odd.append((mask, c.edge_set))
+    return even, odd
+
+
+def _odd_contractions(
+    g: Multigraph,
+    subset: frozenset[int],
+    mask: int,
+    odd: list[tuple[int, frozenset[int]]],
+    min_edges: int,
+) -> Iterator[tuple[frozenset[int], Multigraph]]:
+    """(odd circuit, contracted subgraph) for each odd circuit inside the
+    subset that leaves at least ``min_edges`` edges and creates no loop."""
+    sub = None
+    for omask, oset in odd:
+        if omask & ~mask or (mask & ~omask).bit_count() < min_edges:
             continue
-        for w in (u, v):
-            if w not in parent:
-                parent[w] = w
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = {find(x) for x in parent}
-    return len(roots) == 1
+        if sub is None:
+            sub = g.subgraph(subset)
+        contracted, _ = sub.contract_edges(oset)
+        if not any(e.is_loop for e in contracted.edges):
+            yield oset, contracted
+
+
+def _has_loop(g: Multigraph, subset: frozenset[int]) -> bool:
+    return any(g.by_id[eid].is_loop for eid in subset)
 
 
 @lru_cache(maxsize=64)
@@ -175,80 +251,22 @@ def witness_candidates(
     Assignment-independent: pairing these with a parity rule is all a scan
     per assignment has to do.
     """
-    edges = g.edges
-    m = len(edges)
-    bit_of = {e.id: i for i, e in enumerate(edges)}
-    bit_edges = [(e.u, e.v) for e in edges]
-    loop_bits = 0
-    for e in edges:
-        if e.is_loop:
-            loop_bits |= 1 << bit_of[e.id]
-
-    circuits = enumerate_circuits(g, cap)
-    even_masks = []
-    odd_list = []  # (mask, edge id frozenset)
-    for c in circuits:
-        mask = 0
-        for eid in c.edge_ids:
-            mask |= 1 << bit_of[eid]
-        if c.is_even:
-            even_masks.append(mask)
-        else:
-            odd_list.append((mask, c.edge_set))
-
-    base_sizes = {name: base_graph(name).n_edges for name in WITNESS_BASES}
-    min_base_edges = min(base_sizes.values())
+    even_masks, odd = _circuit_masks(g, cap)
+    min_base_edges = min(base_graph(name).n_edges for name in WITNESS_BASES)
     min_count = min(EVEN_CIRCUIT_COUNT[n] for n in WITNESS_BASES)
 
-    masks = sorted(range(1, 1 << m), key=lambda x: (x.bit_count(), x))
     candidates: list[_Candidate] = []
-    examined = 0
-    for mask in masks:
-        size = mask.bit_count()
-        if size < min(3, min_base_edges):
-            continue
-        examined += 1
-        if examined > budget:
-            raise ResourceLimitError(
-                f"witness scan budget of {budget} subsets exhausted; "
-                f"the search covered subsets of at most {size} edges", budget
-            )
-        # every vertex of the subset needs degree >= 2 for it to be a
-        # splitting of a base or to carry an odd circuit plus arcs
-        deg: dict[int, int] = {}
-        for i in range(m):
-            if (mask >> i) & 1:
-                u, v = bit_edges[i]
-                deg[u] = deg.get(u, 0) + (2 if u == v else 1)
-                if u != v:
-                    deg[v] = deg.get(v, 0) + 1
-        if any(d < 2 for d in deg.values()):
-            continue
-        if not _connected_mask(bit_edges, mask):
-            continue
+    for mask, subset in _edge_subsets(g, min(3, min_base_edges), budget):
         n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
-
-        subset = frozenset(e.id for e in edges if (mask >> bit_of[e.id]) & 1)
         direct: list[tuple[str, SplittingTrace]] = []
-        if mask & loop_bits == 0 and n_even_inside >= min_count:
-            h = g.subgraph(subset)
-            direct = _splitting_matches(h, WITNESS_BASES)
+        if n_even_inside >= min_count and not _has_loop(g, subset):
+            direct = _splitting_matches(g.subgraph(subset), WITNESS_BASES)
             for name, trace in direct:
                 lifted = _lift_base_circuits(g, subset, None, trace)
                 candidates.append(_Candidate(subset, name, None, trace, lifted))
         if direct:
             continue
-        # one odd-circuit contraction inside the subset
-        for omask, oset in odd_list:
-            if omask & ~mask:
-                continue
-            rest = mask & ~omask
-            if rest.bit_count() < min_base_edges:
-                continue
-            sub = g.subgraph(subset)
-            contracted, _ = sub.contract_edges(oset)
-            if any(e.is_loop for e in contracted.edges):
-                continue
+        for oset, contracted in _odd_contractions(g, subset, mask, odd, min_base_edges):
             for name, trace in _splitting_matches(contracted, WITNESS_BASES):
                 lifted = _lift_base_circuits(g, subset, oset, trace)
                 candidates.append(_Candidate(subset, name, oset, trace, lifted))
@@ -284,39 +302,6 @@ def find_witness(
 
 
 # -- specialised all-odd / all-even scans ------------------------------
-
-
-def _theta_paths(g: Multigraph) -> Optional[tuple[int, int, int]]:
-    """Path lengths when ``g`` is a theta graph, else None."""
-    if any(e.is_loop for e in g.edges):
-        return None
-    branch = [v for v in g.vertex_ids if g.degree(v) != 2]
-    if len(branch) != 2 or any(g.degree(v) != 3 for v in branch):
-        return None
-    if not g.is_connected():
-        return None
-    u, w = branch
-    lengths = []
-    used: set[int] = set()
-    for e in g.incidence[u]:
-        if e.id in used:
-            continue
-        length = 1
-        used.add(e.id)
-        cur = e.other(u)
-        while cur not in (u, w):
-            nxt = [f for f in g.incidence[cur] if f.id not in used]
-            if len(nxt) != 1:
-                return None
-            used.add(nxt[0].id)
-            cur = nxt[0].other(cur)
-            length += 1
-        if cur == u:
-            return None
-        lengths.append(length)
-    if len(lengths) != 3 or len(used) != g.n_edges:
-        return None
-    return tuple(sorted(lengths))
 
 
 def _reduced_parity_form(g: Multigraph) -> Optional[Multigraph]:
@@ -372,79 +357,36 @@ def _subdivision_scan(
     directly or after contracting one odd circuit inside the subgraph."""
     from .transforms import is_even_splitting_of
 
-    edges = g.edges
-    m = len(edges)
-    bit_of = {e.id: i for i, e in enumerate(edges)}
-    bit_edges = [(e.u, e.v) for e in edges]
-    circuits = enumerate_circuits(g, cap)
-    odd_list = []
-    for c in circuits:
-        if not c.is_even:
-            mask = 0
-            for eid in c.edge_ids:
-                mask |= 1 << bit_of[eid]
-            odd_list.append((mask, c.edge_set))
-    loop_bits = 0
-    for e in edges:
-        if e.is_loop:
-            loop_bits |= 1 << bit_of[e.id]
-
+    _, odd = _circuit_masks(g, cap)
     min_base = min(base_graph(b).n_edges for b in bases)
-    masks = sorted(range(1, 1 << m), key=lambda x: (x.bit_count(), x))
-    examined = 0
-    for mask in masks:
-        if mask.bit_count() < min_base:
-            continue
-        examined += 1
-        if examined > budget:
-            raise ResourceLimitError(
-                f"scan budget of {budget} subsets exhausted", budget
-            )
-        deg: dict[int, int] = {}
-        for i in range(m):
-            if (mask >> i) & 1:
-                u, v = bit_edges[i]
-                deg[u] = deg.get(u, 0) + (2 if u == v else 1)
-                if u != v:
-                    deg[v] = deg.get(v, 0) + 1
-        if any(d < 2 for d in deg.values()):
-            continue
-        if not _connected_mask(bit_edges, mask):
-            continue
-        subset = frozenset(e.id for e in edges if (mask >> bit_of[e.id]) & 1)
 
-        if mask & loop_bits == 0:
-            sub = g.subgraph(subset)
-            reduced = _reduced_parity_form(sub)
-            if reduced is not None:
-                for name in bases:
-                    if find_isomorphism(reduced, base_graph(name)):
-                        trace = is_even_splitting_of(sub, base_graph(name))
-                        assert trace is not None
-                        lifted = _lift_base_circuits(g, subset, None, trace)
-                        cand = _Candidate(subset, name, None, trace, lifted)
-                        if _rule_triggered(name, lifted, j):
-                            return _witness_from(cand, j)
-        for omask, oset in odd_list:
-            if omask & ~mask:
-                continue
-            if (mask & ~omask).bit_count() < min_base:
-                continue
-            sub = g.subgraph(subset)
-            contracted, _ = sub.contract_edges(oset)
-            if any(e.is_loop for e in contracted.edges):
-                continue
-            reduced = _reduced_parity_form(contracted)
-            if reduced is None:
-                continue
-            for name in bases:
-                if find_isomorphism(reduced, base_graph(name)):
-                    trace = is_even_splitting_of(contracted, base_graph(name))
-                    assert trace is not None
-                    lifted = _lift_base_circuits(g, subset, oset, trace)
-                    cand = _Candidate(subset, name, oset, trace, lifted)
-                    if _rule_triggered(name, lifted, j):
-                        return _witness_from(cand, j)
+    def match(
+        h: Multigraph, subset: frozenset[int], oset: Optional[frozenset[int]]
+    ) -> Optional[ForbiddenWitness]:
+        reduced = _reduced_parity_form(h)
+        if reduced is None:
+            return None
+        for name in bases:
+            if find_isomorphism(reduced, base_graph(name)):
+                trace = is_even_splitting_of(h, base_graph(name))
+                if trace is None:
+                    raise ContractError(
+                        f"reduced form matches {name} but no even splitting was found"
+                    )
+                lifted = _lift_base_circuits(g, subset, oset, trace)
+                if _rule_triggered(name, lifted, j):
+                    return _witness_from(_Candidate(subset, name, oset, trace, lifted), j)
+        return None
+
+    for mask, subset in _edge_subsets(g, min_base, budget):
+        if not _has_loop(g, subset):
+            w = match(g.subgraph(subset), subset, None)
+            if w is not None:
+                return w
+        for oset, contracted in _odd_contractions(g, subset, mask, odd, min_base):
+            w = match(contracted, subset, oset)
+            if w is not None:
+                return w
     return None
 
 

@@ -12,7 +12,7 @@ orientation can satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import gf2
 from .circuits import (
@@ -23,7 +23,7 @@ from .circuits import (
     clockwise_parity,
     even_circuits,
 )
-from .errors import InputError
+from .errors import ContractError, InputError
 from .graphs import Multigraph, Orientation
 
 
@@ -62,7 +62,8 @@ class ParityAssignment:
             return Parity.ODD
         if self.kind == "all-even":
             return Parity.EVEN
-        assert self.explicit is not None
+        if self.explicit is None:
+            raise ContractError(f"assignment of kind {self.kind!r} has no explicit map")
         value = self.explicit.get(circuit.edge_set)
         if value is None:
             value = self.default
@@ -83,6 +84,24 @@ class IntractableCertificate:
     prescribed_even_count_parity: Parity
 
 
+def circuit_matrix(
+    circuits: Sequence[Circuit],
+) -> tuple[gf2.Gf2Matrix, tuple[int, ...]]:
+    """Incidence rows of ``circuits`` over the sorted edges they use.
+
+    Returns (matrix, columns): row i packs circuits[i] over ``columns``.
+    """
+    cols = sorted({eid for c in circuits for eid in c.edge_ids})
+    index = {eid: i for i, eid in enumerate(cols)}
+    masks = [gf2.indices_to_bits(index[eid] for eid in c.edge_ids) for c in circuits]
+    return gf2.Gf2Matrix.from_bitmasks(masks, len(cols)), tuple(cols)
+
+
+def _rhs(circuits: Sequence[Circuit], j: ParityAssignment, base: Orientation) -> tuple[int, ...]:
+    """1 where the base orientation disagrees with the assignment."""
+    return tuple(1 if clockwise_parity(base, c) != j.parity_for(c) else 0 for c in circuits)
+
+
 def build_system(
     g: Multigraph,
     j: ParityAssignment,
@@ -96,17 +115,8 @@ def build_system(
     rhs[i] is 1 iff the base orientation disagrees with the assignment.
     """
     circs = even_circuits(g, cap)
-    cols = sorted({eid for c in circs for eid in c.edge_ids})
-    col_index = {eid: i for i, eid in enumerate(cols)}
-    masks = []
-    rhs = []
-    for c in circs:
-        bits = 0
-        for eid in c.edge_ids:
-            bits |= 1 << col_index[eid]
-        masks.append(bits)
-        rhs.append(1 if clockwise_parity(base, c) != j.parity_for(c) else 0)
-    return gf2.Gf2Matrix.from_bitmasks(masks, len(cols)), tuple(rhs), circs, tuple(cols)
+    a, cols = circuit_matrix(circs)
+    return a, _rhs(circs, j, base), circs, cols
 
 
 def _minimal_odd_combination(
@@ -115,31 +125,24 @@ def _minimal_odd_combination(
     """Smallest row set summing to zero with odd rhs sum, best effort.
 
     With few independent dependencies the search is exhaustive, so the
-    result is a true minimum; otherwise a greedy descent from the seed.
+    result is a true minimum, ties going to the lexicographically least
+    sorted row list; otherwise a greedy descent from the seed.
     """
     basis = gf2.left_nullspace_basis(a)
-    d = len(basis)
-    if d <= gf2.EXHAUSTIVE_NULLSPACE_DIM:
-        packed = []
-        for s in basis:
-            bits = 0
-            for i in s:
-                bits |= 1 << i
-            packed.append(bits)
-        best: Optional[frozenset[int]] = None
-        for mask in range(1, 1 << d):
-            bits = 0
-            for k in range(d):
-                if (mask >> k) & 1:
-                    bits ^= packed[k]
-            rows = [i for i in range(a.n_rows) if (bits >> i) & 1]
-            if sum(rhs[i] for i in rows) % 2 == 0:
+    if len(basis) <= gf2.EXHAUSTIVE_NULLSPACE_DIM:
+        odd_rows = gf2.indices_to_bits(i for i, bit in enumerate(rhs) if bit)
+        best = 0
+        for bits in gf2.combination_walk([gf2.indices_to_bits(s) for s in basis]):
+            if not (bits & odd_rows).bit_count() & 1:
                 continue
-            cand = frozenset(rows)
-            if best is None or (len(cand), sorted(cand)) < (len(best), sorted(best)):
-                best = cand
-        assert best is not None
-        return best
+            size, best_size = bits.bit_count(), best.bit_count()
+            # of two equal-size sets, the one holding the lowest row of
+            # their symmetric difference has the smaller sorted list
+            diff = bits ^ best
+            if not best or size < best_size or (size == best_size and bits & diff & -diff):
+                best = bits
+        # the seed is an odd dependency, so the walk always finds one
+        return frozenset(gf2.bits_to_indices(best))
 
     current = set(seed)
     improved = True
@@ -153,29 +156,48 @@ def _minimal_odd_combination(
     return frozenset(current)
 
 
+def _even_count_parities(
+    circuits: Iterable[Circuit], j: ParityAssignment, base: Orientation
+) -> tuple[Parity, Parity]:
+    """(observed, prescribed) parity of the number of clockwise-even circuits."""
+    observed = prescribed = 0
+    for c in circuits:
+        observed ^= clockwise_parity(base, c) == Parity.EVEN
+        prescribed ^= j.parity_for(c) == Parity.EVEN
+    return Parity(observed), Parity(prescribed)
+
+
+def solve_circuits(
+    g: Multigraph, circuits: Sequence[Circuit], j: ParityAssignment
+) -> Union[Orientation, IntractableCertificate]:
+    """An orientation giving each of ``circuits`` its parity under ``j``,
+    or a certificate, drawn from ``circuits``, that none exists.
+
+    Edges on none of the circuits keep the reference direction.
+    Certificates are shrunk to the smallest dependent circuit set the
+    solver can find.
+    """
+    base = Orientation.reference(g)
+    if not circuits:
+        return base  # nothing to satisfy
+    a, cols = circuit_matrix(circuits)
+    rhs = _rhs(circuits, j, base)
+    result = gf2.solve(a, rhs)
+    if isinstance(result, gf2.Inconsistency):
+        rows = _minimal_odd_combination(a, rhs, result.row_combination)
+        chosen = tuple(circuits[i] for i in sorted(rows))
+        return IntractableCertificate(chosen, *_even_count_parities(chosen, j, base))
+    return base.with_flipped([cols[i] for i, bit in enumerate(result) if bit])
+
+
 def decide(
     g: Multigraph, j: ParityAssignment, cap: int = DEFAULT_CIRCUIT_CAP
 ) -> Union[Orientation, IntractableCertificate]:
     """A compatible orientation, or a certificate that none exists.
 
-    Edges on no even circuit keep the reference direction.  Certificates
-    are shrunk to the smallest dependent circuit set the solver can find.
+    The constraint rows are the even circuits of ``g``; see solve_circuits.
     """
-    base = Orientation.reference(g)
-    a, rhs, circs, cols = build_system(g, j, base, cap)
-    if not circs:
-        return base  # no even circuits: vacuously compatible
-    result = gf2.solve(a, rhs)
-    if isinstance(result, gf2.Inconsistency):
-        rows = _minimal_odd_combination(a, rhs, result.row_combination)
-        chosen = tuple(circs[i] for i in sorted(rows))
-        observed = sum(
-            1 for c in chosen if clockwise_parity(base, c) == Parity.EVEN
-        ) % 2
-        prescribed = sum(1 for c in chosen if j.parity_for(c) == Parity.EVEN) % 2
-        return IntractableCertificate(chosen, Parity(observed), Parity(prescribed))
-    flips = [cols[i] for i, bit in enumerate(result) if bit]
-    return base.with_flipped(flips)
+    return solve_circuits(g, even_circuits(g, cap), j)
 
 
 def verify_orientation(
@@ -216,9 +238,7 @@ def is_intractable_set(
         sym ^= c.edge_set
     if sym:
         return False
-    base = Orientation.reference(g)
-    observed = sum(1 for c in circs if clockwise_parity(base, c) == Parity.EVEN) % 2
-    prescribed = sum(1 for c in circs if j.parity_for(c) == Parity.EVEN) % 2
+    observed, prescribed = _even_count_parities(circs, j, Orientation.reference(g))
     return observed != prescribed
 
 
@@ -228,12 +248,7 @@ def certificate_is_valid(
     """Re-check a certificate's invariants from scratch."""
     if not is_intractable_set(g, j, cert.circuits):
         return False
-    base = Orientation.reference(g)
-    observed = sum(
-        1 for c in cert.circuits if clockwise_parity(base, c) == Parity.EVEN
-    ) % 2
-    prescribed = sum(1 for c in cert.circuits if j.parity_for(c) == Parity.EVEN) % 2
-    return (
-        Parity(observed) == cert.observed_even_count_parity
-        and Parity(prescribed) == cert.prescribed_even_count_parity
+    return _even_count_parities(cert.circuits, j, Orientation.reference(g)) == (
+        cert.observed_even_count_parity,
+        cert.prescribed_even_count_parity,
     )

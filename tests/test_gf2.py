@@ -1,8 +1,19 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paritygraph.errors import InputError
-from paritygraph.gf2 import Gf2Matrix, Inconsistency, nullspace_combinations, rank, solve
+from paritygraph.gf2 import (
+    Gf2Matrix,
+    Inconsistency,
+    bits_to_indices,
+    combination_walk,
+    indices_to_bits,
+    nullspace_combinations,
+    rank,
+    solve,
+)
 
 
 def M(rows, width):
@@ -118,3 +129,30 @@ def test_elimination_deterministic(wr, data):
     a = M(rows, w)
     assert solve(a, tuple(b)) == solve(a, tuple(b))
     assert nullspace_combinations(a) == nullspace_combinations(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=1 << 70))
+def test_bits_and_indices_round_trip(bits):
+    indices = bits_to_indices(bits)
+    assert indices == [i for i in range(bits.bit_length()) if (bits >> i) & 1]
+    assert indices_to_bits(indices) == bits
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=255), max_size=6))
+def test_combination_walk_visits_every_nonempty_combination_once(basis):
+    expected = []
+    for r in range(1, len(basis) + 1):
+        for members in itertools.combinations(basis, r):
+            acc = 0
+            for b in members:
+                acc ^= b
+            expected.append(acc)
+    walked = list(combination_walk(basis))
+    assert sorted(walked) == sorted(expected)
+    # consecutive steps differ by exactly one basis member
+    previous = 0
+    for bits in walked:
+        assert previous ^ bits in basis
+        previous = bits

@@ -4,6 +4,7 @@ import pytest
 
 from paritygraph import Multigraph, Orientation, Parity, clockwise_parity
 from paritygraph.errors import ContractError
+from paritygraph.fileio import emit_certificate_block
 from paritygraph.pfaffian import (
     alternating_circuits,
     enumerate_perfect_matchings,
@@ -138,3 +139,24 @@ def test_counts_match_enumeration_on_corpus(small_corpus):
         o = find_pfaffian_orientation(g)
         if isinstance(o, Orientation):
             assert kasteleyn_count(g, o) == len(enumerate_perfect_matchings(g))
+
+
+def cube(d: int) -> Multigraph:
+    return Multigraph.from_pairs(
+        [(v + 1, (v | 1 << i) + 1) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+    )
+
+
+@pytest.mark.parametrize(
+    "g, block",
+    [
+        (k33(), "s 3\nsc 4 1 2 4 5\nsc 4 1 2 7 8\nsc 4 4 5 7 8\n"),
+        (cube(4), "s 3\nsc 4 8 9 11 18\nsc 6 1 2 6 8 11 16\nsc 6 1 2 6 9 16 18\n"),
+    ],
+    ids=["k33", "cube4"],
+)
+def test_not_pfaffian_certificate_blocks_are_pinned(g, block):
+    r = find_pfaffian_orientation(g)
+    assert isinstance(r, IntractableCertificate)
+    assert emit_certificate_block(r) == block
+    assert all(c in alternating_circuits(g) for c in r.circuits)

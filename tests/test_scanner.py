@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from paritygraph import (
 from paritygraph.catalog import base_graph
 from paritygraph.errors import ResourceLimitError
 from paritygraph.scanner import (
+    _edge_subsets,
     find_witness,
     scan_all_even,
     scan_all_odd,
@@ -22,7 +24,7 @@ from paritygraph.scanner import (
 )
 from paritygraph.transforms import is_even_splitting_of, subdivide_edge_twice
 
-from conftest import k23, k4, square, triple_edge
+from conftest import grid, k23, k4, square, triple_edge
 
 
 def test_k23_all_odd_witness_is_direct_o1():
@@ -221,3 +223,69 @@ def test_witness_subgraph_is_edge_minimal_among_candidates():
     w = find_witness(g, ParityAssignment.all_odd())
     assert w is not None
     assert len(w.subgraph_edges) == 6
+
+
+# -- the lazy subset generator against the old sort-then-filter scan ----
+
+
+def wheel(n: int) -> Multigraph:
+    rim = [(i, i % n + 1) for i in range(1, n + 1)]
+    return Multigraph.from_pairs(rim + [(n + 1, i) for i in range(1, n + 1)])
+
+
+def ordered_masks(g, min_size):
+    """Every mask of at least min_size edges, sorted as the old scans did."""
+    masks = sorted(range(1, 1 << g.n_edges), key=lambda x: (x.bit_count(), x))
+    return [x for x in masks if x.bit_count() >= min_size]
+
+
+def kept(g, mask) -> bool:
+    sub = g.subgraph(g.edges[i].id for i in range(g.n_edges) if mask >> i & 1)
+    return sub.is_connected() and all(sub.degree(v) >= 2 for v in sub.vertex_ids)
+
+
+def subset_graphs():
+    from paritygraph.corpus import connected_multigraphs
+
+    return list(connected_multigraphs(4, 6)) + [wheel(5), wheel(6)]
+
+
+@pytest.mark.parametrize("min_size", [3, 6])
+def test_edge_subsets_match_sorted_filter_oracle(min_size):
+    for g in subset_graphs():
+        expected = [x for x in ordered_masks(g, min_size) if kept(g, x)]
+        got = list(_edge_subsets(g, min_size, 1 << g.n_edges))
+        assert [mask for mask, _ in got] == expected
+        for mask, subset in got:
+            assert subset == frozenset(
+                g.edges[i].id for i in range(g.n_edges) if mask >> i & 1
+            )
+
+
+@pytest.mark.parametrize("budget", [1, 40, 250, 900])
+def test_edge_subsets_budget_counts_masks_before_filtering(budget):
+    g = wheel(5)
+    ordered = ordered_masks(g, 3)
+    got = []
+    with pytest.raises(ResourceLimitError) as info:
+        for mask, _ in _edge_subsets(g, 3, budget):
+            got.append(mask)
+    assert got == [x for x in ordered[:budget] if kept(g, x)]
+    size = ordered[budget].bit_count()
+    assert f"covered subsets of at most {size} edges" in str(info.value)
+
+
+def test_grid_4x4_scans_stop_at_the_budget_in_little_memory():
+    # the subsets are generated lazily, so the default budget stops the
+    # search long before anything proportional to 2^24 is allocated
+    g = grid(4, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            scan_all_odd(g)
+        with pytest.raises(ResourceLimitError):
+            find_witness(g, ParityAssignment.all_odd())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -225,3 +226,40 @@ def test_edges_off_even_circuits_keep_reference_direction():
     r = decide(g, ParityAssignment.all_odd())
     assert isinstance(r, Orientation)
     assert r.direction[5] == (4, 5)
+
+
+def min_odd_dependency_by_combinations(a, rhs):
+    """The first row set, by (size, sorted rows), summing to zero with
+    odd right-hand side."""
+    for r in range(1, a.n_rows + 1):
+        for rows in itertools.combinations(range(a.n_rows), r):
+            acc = par = 0
+            for i in rows:
+                acc ^= a.rows[i]
+                par ^= rhs[i]
+            if not acc and par:
+                return frozenset(rows)
+    return None
+
+
+def test_exhaustive_certificate_shrink_is_the_combinations_minimum(small_corpus):
+    from paritygraph import gf2
+    from paritygraph.solver import _minimal_odd_combination
+
+    rng = random.Random(7)
+    checked = 0
+    for g in small_corpus[::3]:
+        evens = even_circuits(g)
+        random_j = ParityAssignment.from_map(
+            {c.edge_set: rng.choice([Parity.ODD, Parity.EVEN]) for c in evens}
+        )
+        for j in (ParityAssignment.all_odd(), ParityAssignment.all_even(), random_j):
+            a, rhs, _, _ = build_system(g, j, Orientation.reference(g))
+            result = gf2.solve(a, rhs)
+            if not isinstance(result, gf2.Inconsistency):
+                continue
+            assert len(gf2.left_nullspace_basis(a)) <= gf2.EXHAUSTIVE_NULLSPACE_DIM
+            shrunk = _minimal_odd_combination(a, rhs, result.row_combination)
+            assert shrunk == min_odd_dependency_by_combinations(a, rhs)
+            checked += 1
+    assert checked > 50
