@@ -22,6 +22,7 @@ from .circuits import (
     circuit_from_edges,
     enumerate_circuits,
     even_circuit_connectivity_witness,
+    is_even_circuit_connected,
 )
 from .errors import ContractError, InputError
 from .graphs import Multigraph, is_bipartite
@@ -296,8 +297,6 @@ def decompose(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> ArcDecomposition
 
 def validate(g: Multigraph, d: ArcDecomposition, cap: int = DEFAULT_CIRCUIT_CAP) -> Optional[str]:
     """Recheck every decomposition invariant; None when all hold."""
-    from .circuits import is_even_circuit_connected
-
     if not d.stages:
         return "no stages"
     try:

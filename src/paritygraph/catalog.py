@@ -18,10 +18,10 @@ from importlib import resources
 from itertools import combinations, product
 
 from . import fileio
-from .circuits import Parity, even_circuits
+from .circuits import Parity, enumerate_circuits, even_circuits, is_even_circuit_connected
 from .errors import FixtureError
 from .gf2 import nullspace_combinations
-from .graphs import Multigraph, isomorphic
+from .graphs import Multigraph, is_bipartite, isomorphic
 from .solver import IntractableCertificate, ParityAssignment, circuit_matrix, decide
 
 CATALOG_NAMES = (
@@ -177,7 +177,6 @@ def catalog_selfcheck() -> SelfcheckReport:
     # contraction relations within the O/E families
     o2g = cat["O2"]
     triangle = None
-    from .circuits import enumerate_circuits
     for c in enumerate_circuits(o2g):
         if len(c) == 3:
             triangle = c.edge_set
@@ -195,8 +194,6 @@ def catalog_selfcheck() -> SelfcheckReport:
     # A-entries: each is the union of its two even circuits, is
     # even-circuit-connected and contains an odd circuit, as a first-stage
     # 2-arc adjunction must be
-    from .circuits import is_even_circuit_connected
-    from .graphs import is_bipartite
     for name in ("A1", "A2", "A3", "A4", "A5"):
         g = cat[name]
         ev = even_circuits(g)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
-from .graphs import Multigraph, Orientation
+from .graphs import Edge, Multigraph, Orientation
 
 DEFAULT_CIRCUIT_CAP = 100_000
 
@@ -27,6 +27,8 @@ class Circuit:
 
     ``sense`` lists (vertex, edge) steps: leave ``vertex`` along ``edge``
     to reach the vertex of the next step.  A loop is a circuit of length 1.
+    Circuits built by this package carry the canonical sense described at
+    ``_circuit_from_walk``.
     """
 
     edge_ids: tuple[int, ...]
@@ -55,12 +57,27 @@ class Circuit:
         return Circuit(self.edge_ids, rev)
 
 
-def circuit_from_edges(g: Multigraph, edge_ids: Iterable[int]) -> Circuit:
-    """Validate an edge set as a circuit and give it its canonical sense.
+def _circuit_from_walk(verts: Sequence[int], eids: Sequence[int]) -> Circuit:
+    """The circuit traversed by a closed walk, in its canonical sense.
 
+    ``eids[i]`` leads from ``verts[i]`` to ``verts[i + 1]``, cyclically.
     The canonical sense is the lexicographically least closed walk starting
-    from the smallest vertex.
+    from the smallest vertex: the walk is rotated to that vertex and kept or
+    reversed so that it leaves along the smaller of the vertex's two edges.
+    A loop ``u`` with id ``e`` gives the sense ``((u, e),)``.
     """
+    n = len(eids)
+    i = verts.index(min(verts))
+    if eids[i] < eids[i - 1]:
+        sense = tuple((verts[(i + k) % n], eids[(i + k) % n]) for k in range(n))
+    else:
+        sense = tuple((verts[(i - k) % n], eids[(i - k - 1) % n]) for k in range(n))
+    return Circuit(tuple(sorted(eids)), sense)
+
+
+def circuit_from_edges(g: Multigraph, edge_ids: Iterable[int]) -> Circuit:
+    """Validate an edge set as a circuit and give it its canonical sense
+    (see ``_circuit_from_walk``)."""
     ids = sorted(set(edge_ids))
     if not ids:
         raise InputError("a circuit needs at least one edge")
@@ -77,34 +94,26 @@ def circuit_from_edges(g: Multigraph, edge_ids: Iterable[int]) -> Circuit:
     if any(d != 2 for d in deg.values()):
         raise InputError(f"edge set {ids} is not 2-regular")
 
-    incident: dict[int, list[int]] = {}
+    incident: dict[int, list[Edge]] = {}
     for e in edges:
-        incident.setdefault(e.u, []).append(e.id)
+        incident.setdefault(e.u, []).append(e)
         if not e.is_loop:
-            incident.setdefault(e.v, []).append(e.id)
+            incident.setdefault(e.v, []).append(e)
 
+    # every vertex has degree 2, so the walk is forced and closes at the
+    # start; it covers all the edges exactly when the set is connected
     start = min(deg)
-    by_id = {e.id: e for e in edges}
-
-    def walk(first_edge: int) -> Optional[tuple[tuple[int, int], ...]]:
-        steps = [(start, first_edge)]
-        used = {first_edge}
-        cur = by_id[first_edge].other(start)
-        while cur != start:
-            nxt = [i for i in incident[cur] if i not in used]
-            if len(nxt) != 1:
-                return None
-            steps.append((cur, nxt[0]))
-            used.add(nxt[0])
-            cur = by_id[nxt[0]].other(cur)
-        if len(used) != len(ids):
-            return None  # disconnected: closed early
-        return tuple(steps)
-
-    walks = [w for w in (walk(i) for i in sorted(incident[start])) if w is not None]
-    if not walks:
+    e = incident[start][0]
+    verts, eids = [start], [e.id]
+    cur = e.other(start)
+    while cur != start:
+        e = next(f for f in incident[cur] if f.id != eids[-1])
+        verts.append(cur)
+        eids.append(e.id)
+        cur = e.other(cur)
+    if len(eids) != len(ids):
         raise InputError(f"edge set {ids} is not a single circuit")
-    return Circuit(tuple(ids), min(walks))
+    return _circuit_from_walk(verts, eids)
 
 
 @lru_cache(maxsize=4096)
@@ -117,13 +126,14 @@ def enumerate_circuits(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> tuple[C
     """
     if cap <= 0:
         raise InputError("circuit cap must be positive")
-    found: list[frozenset[int]] = []
+    found: list[Circuit] = []
 
-    incident: dict[int, list] = {v: [] for v in g.vertex_ids}
+    # (edge id, far end) for every non-loop edge at v
+    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertex_ids}
     for e in g.edges:
-        incident[e.u].append(e)
         if not e.is_loop:
-            incident[e.v].append(e)
+            incident[e.u].append((e.id, e.v))
+            incident[e.v].append((e.id, e.u))
 
     def check_cap() -> None:
         if len(found) > cap:
@@ -133,27 +143,26 @@ def enumerate_circuits(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> tuple[C
 
     for e0 in g.edges:
         if e0.is_loop:
-            found.append(frozenset([e0.id]))
+            found.append(_circuit_from_walk((e0.u,), (e0.id,)))
             check_cap()
             continue
         target = e0.u
-        # simple paths from e0.v back to target using edge ids above e0.id
-        stack = [(e0.v, frozenset([e0.v]), (e0.id,))]
+        # simple paths from e0.v back to target using edge ids above e0.id;
+        # path[i] leads from verts[i] to verts[i + 1]
+        stack = [(e0.v, (target, e0.v), (e0.id,))]
         while stack:
-            cur, visited, path = stack.pop()
-            for e in incident[cur]:
-                if e.id <= e0.id or e.id in path or e.is_loop:
+            cur, verts, path = stack.pop()
+            for eid, nxt in incident[cur]:
+                if eid <= e0.id:
                     continue
-                nxt = e.other(cur)
                 if nxt == target:
-                    found.append(frozenset(path + (e.id,)))
+                    found.append(_circuit_from_walk(verts, path + (eid,)))
                     check_cap()
-                elif nxt not in visited and nxt != target:
-                    stack.append((nxt, visited | {nxt}, path + (e.id,)))
+                elif nxt not in verts:
+                    stack.append((nxt, verts + (nxt,), path + (eid,)))
 
-    circuits = [circuit_from_edges(g, ids) for ids in found]
-    circuits.sort(key=lambda c: (len(c), c.edge_ids))
-    return tuple(circuits)
+    found.sort(key=lambda c: (len(c), c.edge_ids))
+    return tuple(found)
 
 
 def even_circuits(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> tuple[Circuit, ...]:

@@ -18,10 +18,10 @@ from .circuits import (
     DEFAULT_CIRCUIT_CAP,
     Circuit,
     Parity,
-    circuit_from_edges,
+    _circuit_from_walk,
     clockwise_parity,
 )
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import ContractError, ResourceLimitError
 from .graphs import Multigraph, Orientation
 from .solver import IntractableCertificate, ParityAssignment, solve_circuits
 
@@ -62,21 +62,44 @@ def enumerate_perfect_matchings(
 def alternating_circuits(
     g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP
 ) -> tuple[Circuit, ...]:
-    """Circuits that are the symmetric difference of two perfect matchings."""
-    matchings = enumerate_perfect_matchings(g, cap)
-    seen: set[frozenset[int]] = set()
+    """Circuits that are the symmetric difference of two perfect matchings.
+
+    Matchings are packed as bitmasks over edge positions in ``g.edges``.
+    Every vertex a difference touches meets one edge of each matching, so
+    the walk from its lowest edge is forced; the difference is a single
+    circuit exactly when that walk covers all of it.
+    """
+    position = {e.id: i for i, e in enumerate(g.edges)}
+    # (bit, edge id, far end) for every edge at v; matchings hold no loops
+    around: dict[int, list[tuple[int, int, int]]] = {v: [] for v in g.vertex_ids}
+    for i, e in enumerate(g.edges):
+        if not e.is_loop:
+            around[e.u].append((1 << i, e.id, e.v))
+            around[e.v].append((1 << i, e.id, e.u))
+    masks = [
+        sum(1 << position[eid] for eid in m) for m in enumerate_perfect_matchings(g, cap)
+    ]
+    seen: set[int] = set()
     out: list[Circuit] = []
-    for i in range(len(matchings)):
-        for k in range(i + 1, len(matchings)):
-            diff = matchings[i] ^ matchings[k]
+    for i, mi in enumerate(masks):
+        for mk in masks[i + 1 :]:
+            diff = mi ^ mk
             if not diff or diff in seen:
                 continue
             seen.add(diff)
-            try:
-                c = circuit_from_edges(g, diff)
-            except InputError:
-                continue  # the difference is a union of several circuits
-            out.append(c)
+            came = diff & -diff
+            e = g.edges[came.bit_length() - 1]
+            verts, eids = [e.u], [e.id]
+            cur = e.v
+            while cur != e.u:
+                for bit, eid, nxt in around[cur]:
+                    if bit & diff and bit != came:
+                        break
+                verts.append(cur)
+                eids.append(eid)
+                came, cur = bit, nxt
+            if len(eids) == diff.bit_count():
+                out.append(_circuit_from_walk(verts, eids))
     out.sort(key=lambda c: (len(c), c.edge_ids))
     return tuple(out)
 

@@ -22,11 +22,12 @@ from .circuits import (
     Parity,
     circuit_from_edges,
     enumerate_circuits,
+    even_circuits,
 )
 from .errors import ContractError, ResourceLimitError
 from .gf2 import bits_to_indices, indices_to_bits
 from .graphs import Multigraph, find_isomorphism
-from .solver import ParityAssignment
+from .solver import ParityAssignment, is_intractable_set
 from .transforms import (
     Degree2Contraction,
     OddCircuitContraction,
@@ -34,6 +35,8 @@ from .transforms import (
     _graph_invariant,
     contract_degree2_pair,
     degree2_options,
+    is_even_splitting_of,
+    lift_even_circuit,
 )
 
 DEFAULT_SCAN_BUDGET = 200_000
@@ -125,11 +128,8 @@ def _lift_base_circuits(
     trace: SplittingTrace,
 ) -> tuple[Circuit, ...]:
     """Lift the matched base's even circuits back to circuits of ``g``."""
-    from .circuits import even_circuits as _evens
-    from .transforms import lift_even_circuit
-
     states = trace.replay_states()
-    lifted = list(_evens(states[-1]))
+    lifted = list(even_circuits(states[-1]))
     for i in range(len(trace.steps) - 1, -1, -1):
         lifted = [lift_even_circuit(c, states[i], trace.steps[i]) for c in lifted]
     if odd_circuit is not None:
@@ -355,8 +355,6 @@ def _subdivision_scan(
 ) -> Optional[ForbiddenWitness]:
     """Ascending-size search for even subdivisions of the given bases,
     directly or after contracting one odd circuit inside the subgraph."""
-    from .transforms import is_even_splitting_of
-
     _, odd = _circuit_masks(g, cap)
     min_base = min(base_graph(b).n_edges for b in bases)
 
@@ -414,8 +412,6 @@ def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> b
     """Independently re-check a witness: replay the trace, re-match the
     base, recount the parity rule, and confirm the lifted circuits form an
     intractable set for ``j``."""
-    from .solver import is_intractable_set
-
     sub = g.subgraph(w.subgraph_edges)
     start = sub
     if w.odd_circuit_contracted is not None:

@@ -120,15 +120,15 @@ def build_system(
 
 
 def _minimal_odd_combination(
-    a: gf2.Gf2Matrix, rhs: tuple[int, ...], seed: frozenset[int]
+    basis: Sequence[frozenset[int]], rhs: tuple[int, ...], seed: frozenset[int]
 ) -> frozenset[int]:
     """Smallest row set summing to zero with odd rhs sum, best effort.
 
-    With few independent dependencies the search is exhaustive, so the
-    result is a true minimum, ties going to the lexicographically least
-    sorted row list; otherwise a greedy descent from the seed.
+    ``basis`` is the matrix's ``gf2.left_nullspace_basis``.  With few
+    independent dependencies the search is exhaustive, so the result is a
+    true minimum, ties going to the lexicographically least sorted row
+    list; otherwise a greedy descent from the seed.
     """
-    basis = gf2.left_nullspace_basis(a)
     if len(basis) <= gf2.EXHAUSTIVE_NULLSPACE_DIM:
         odd_rows = gf2.indices_to_bits(i for i, bit in enumerate(rhs) if bit)
         best = 0
@@ -182,9 +182,9 @@ def solve_circuits(
         return base  # nothing to satisfy
     a, cols = circuit_matrix(circuits)
     rhs = _rhs(circuits, j, base)
-    result = gf2.solve(a, rhs)
+    result, basis = gf2.solve_with_nullspace(a, rhs)
     if isinstance(result, gf2.Inconsistency):
-        rows = _minimal_odd_combination(a, rhs, result.row_combination)
+        rows = _minimal_odd_combination(basis, rhs, result.row_combination)
         chosen = tuple(circuits[i] for i in sorted(rows))
         return IntractableCertificate(chosen, *_even_count_parities(chosen, j, base))
     return base.with_flipped([cols[i] for i, bit in enumerate(result) if bit])

@@ -7,6 +7,9 @@ import itertools
 import pytest
 
 from paritygraph import Multigraph, Orientation, clockwise_parity, even_circuits
+from paritygraph.circuits import Circuit
+from paritygraph.errors import InputError
+from paritygraph.pfaffian import enumerate_perfect_matchings
 
 
 def k23() -> Multigraph:
@@ -50,6 +53,31 @@ def grid(rows: int, cols: int) -> Multigraph:
     return Multigraph.from_pairs(pairs)
 
 
+def wheel(n: int) -> Multigraph:
+    """Hub n+1 joined to the rim cycle 1..n."""
+    rim = [(i, i % n + 1) for i in range(1, n + 1)]
+    return Multigraph.from_pairs(rim + [(n + 1, i) for i in range(1, n + 1)])
+
+
+def cube(d: int) -> Multigraph:
+    return Multigraph.from_pairs(
+        [(v + 1, (v | 1 << i) + 1) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+    )
+
+
+def heawood() -> Multigraph:
+    """The incidence graph of the Fano plane: 14 vertices, 21 edges."""
+    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+    return Multigraph.from_pairs([(p + 1, 8 + i) for i, line in enumerate(lines) for p in line])
+
+
+def relabelled(g: Multigraph, vertex_ids, edge_ids) -> Multigraph:
+    """``g`` with its i-th vertex and i-th edge renamed to the given ids."""
+    vmap = dict(zip(g.vertex_ids, vertex_ids))
+    emap = dict(zip((e.id for e in g.edges), edge_ids))
+    return Multigraph.build(vmap.values(), [(emap[e.id], vmap[e.u], vmap[e.v]) for e in g.edges])
+
+
 # -- independent oracles -------------------------------------------------
 
 
@@ -63,6 +91,76 @@ def circuits_by_brute_force(g: Multigraph) -> set[frozenset[int]]:
             if all(sub.degree(v) == 2 for v in sub.vertex_ids) and sub.is_connected():
                 out.add(frozenset(combo))
     return out
+
+
+def circuit_by_two_walks(g: Multigraph, edge_ids) -> Circuit:
+    """circuit_from_edges as it was before walks built circuits: validate,
+    walk from the smallest vertex along each of its edges and keep the
+    lexicographically least closed walk."""
+    ids = sorted(set(edge_ids))
+    if not ids:
+        raise InputError("a circuit needs at least one edge")
+    unknown = set(ids) - g.edge_id_set
+    if unknown:
+        raise InputError(f"unknown edge ids in circuit: {sorted(unknown)}")
+    edges = [g.by_id[i] for i in ids]
+
+    deg: dict[int, int] = {}
+    for e in edges:
+        deg[e.u] = deg.get(e.u, 0) + (2 if e.is_loop else 1)
+        if not e.is_loop:
+            deg[e.v] = deg.get(e.v, 0) + 1
+    if any(d != 2 for d in deg.values()):
+        raise InputError(f"edge set {ids} is not 2-regular")
+
+    incident: dict[int, list[int]] = {}
+    for e in edges:
+        incident.setdefault(e.u, []).append(e.id)
+        if not e.is_loop:
+            incident.setdefault(e.v, []).append(e.id)
+
+    start = min(deg)
+    by_id = {e.id: e for e in edges}
+
+    def walk(first_edge):
+        steps = [(start, first_edge)]
+        used = {first_edge}
+        cur = by_id[first_edge].other(start)
+        while cur != start:
+            nxt = [i for i in incident[cur] if i not in used]
+            if len(nxt) != 1:
+                return None
+            steps.append((cur, nxt[0]))
+            used.add(nxt[0])
+            cur = by_id[nxt[0]].other(cur)
+        if len(used) != len(ids):
+            return None  # disconnected: closed early
+        return tuple(steps)
+
+    walks = [w for w in (walk(i) for i in sorted(incident[start])) if w is not None]
+    if not walks:
+        raise InputError(f"edge set {ids} is not a single circuit")
+    return Circuit(tuple(ids), min(walks))
+
+
+def alternating_circuits_by_pairs(g: Multigraph) -> tuple[Circuit, ...]:
+    """Every pair of perfect matchings XORed as frozensets; the differences
+    that are single circuits, by (length, edge ids)."""
+    matchings = enumerate_perfect_matchings(g)
+    seen: set[frozenset[int]] = set()
+    out = []
+    for i in range(len(matchings)):
+        for k in range(i + 1, len(matchings)):
+            diff = matchings[i] ^ matchings[k]
+            if not diff or diff in seen:
+                continue
+            seen.add(diff)
+            try:
+                out.append(circuit_by_two_walks(g, diff))
+            except InputError:
+                continue  # a union of several circuits
+    out.sort(key=lambda c: (len(c), c.edge_ids))
+    return tuple(out)
 
 
 def compatible_by_brute_force(g: Multigraph, j) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paritygraph import (
@@ -15,7 +17,18 @@ from paritygraph import (
 from paritygraph.circuits import even_circuit_connectivity_witness
 from paritygraph.errors import ContractError, InputError, ResourceLimitError
 
-from conftest import circuits_by_brute_force, k23, k4, square, triangle, triple_edge
+from conftest import (
+    circuit_by_two_walks,
+    circuits_by_brute_force,
+    grid,
+    k23,
+    k4,
+    relabelled,
+    square,
+    triangle,
+    triple_edge,
+    wheel,
+)
 
 
 def test_enumeration_matches_brute_force(small_corpus):
@@ -192,3 +205,57 @@ def test_ecc_implies_two_connected(small_corpus):
             continue
         if is_even_circuit_connected(g) and g.n_vertices >= 2:
             assert is_two_connected(g)
+
+
+# -- canonical senses against the two-walk oracle -----------------------
+
+
+def labellings(g):
+    """``g``, a copy with negative ids and one with sparse ids in another order."""
+    n, m = g.n_vertices, g.n_edges
+    yield g
+    yield relabelled(g, [-3 - 2 * i for i in range(n)], [-9 + 4 * i for i in range(m)])
+    yield relabelled(
+        g, [(-1) ** i * (5 * i + 3) for i in range(n)], [(-1) ** i * (4 * i + 1) for i in range(m)]
+    )
+
+
+def outcome(build, g, ids):
+    try:
+        c = build(g, ids)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return c.edge_ids, c.sense
+
+
+def test_circuit_from_edges_matches_two_walk_oracle():
+    from paritygraph.corpus import connected_multigraphs
+
+    checked = 0
+    for base in connected_multigraphs(4, 6):
+        for g in labellings(base):
+            ids = [e.id for e in g.edges]
+            subsets = [
+                [i for k, i in enumerate(ids) if mask >> k & 1] for mask in range(1 << len(ids))
+            ]
+            subsets.append(ids + [max(ids, default=0) + 1])
+            for sub in subsets:
+                expected = outcome(circuit_by_two_walks, g, sub)
+                assert outcome(circuit_from_edges, g, sub) == expected, (g.edges, sub)
+                checked += 1
+    assert checked > 30000
+
+
+def sense_oracle_graphs():
+    from paritygraph.corpus import connected_multigraphs
+
+    sample = random.Random(11).sample(connected_multigraphs(5, 8), 400)
+    sample += [wheel(n) for n in range(3, 9)]
+    sample += [grid(r, c) for r in (1, 2, 3) for c in (2, 3, 4)]
+    return [g for base in sample for g in labellings(base)]
+
+
+def test_enumerated_senses_match_two_walk_oracle():
+    for g in sense_oracle_graphs():
+        for c in enumerate_circuits(g):
+            assert c == circuit_by_two_walks(g, c.edge_ids), (g.edges, c)

@@ -151,3 +151,66 @@ def test_dot_flag(files, capsys):
     code, out, _ = run(capsys, "scan", g, "--all-odd", "--dot")
     assert code == 0
     assert "graph g {" in out
+
+
+# negative and sparse ids, a loop and parallel edges; stdout captured from
+# the tree that built circuits through circuit_from_edges
+K33_NEGATIVE_IDS = """p parity-graph 6 11
+e -9 -5 -1
+e -7 -5 2
+e -4 -5 7
+e -2 -3 -1
+e 0 -3 2
+e 3 -3 7
+e 6 11 -1
+e 8 11 2
+e 13 11 7
+e 21 -5 -1
+e 40 11 11
+"""
+CUBE3_NEGATIVE_IDS = """p parity-graph 8 14
+e -30 -8 -6
+e -27 -8 -2
+e -24 -8 5
+e -21 -6 0
+e -18 -6 9
+e -15 -2 0
+e -12 -2 14
+e -9 0 20
+e -6 5 9
+e -3 5 14
+e 0 9 20
+e 3 14 20
+e 6 -8 -6
+e 9 5 5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, check_out, pfaffian_code, pfaffian_out",
+    [
+        (
+            K33_NEGATIVE_IDS,
+            "INCOMPATIBLE\ns 3\nsc 4 -9 -7 -2 0\nsc 4 -9 -4 -2 3\nsc 4 -7 -4 0 3\n",
+            1,
+            "NOT-PFAFFIAN\ns 3\nsc 4 -9 -7 -2 0\nsc 4 -9 -4 -2 3\nsc 4 -7 -4 0 3\n",
+        ),
+        (
+            CUBE3_NEGATIVE_IDS,
+            "INCOMPATIBLE\ns 3\nsc 4 -15 -12 -9 3\nsc 6 -30 -27 -18 -15 -9 0\n"
+            "sc 6 -30 -27 -18 -12 0 3\n",
+            0,
+            "PFAFFIAN\na -30 -8 -6\na -27 -2 -8\na -24 -8 5\na -21 0 -6\na -18 -6 9\n"
+            "a -15 0 -2\na -12 -2 14\na -9 0 20\na -6 9 5\na -3 5 14\na 0 9 20\n"
+            "a 3 14 20\na 6 -8 -6\na 9 5 5\ncount 12\n",
+        ),
+    ],
+    ids=["k33", "cube3"],
+)
+def test_check_and_pfaffian_stdout_on_negative_ids_is_pinned(
+    files, capsys, text, check_out, pfaffian_code, pfaffian_out
+):
+    g = files("g.graph", text)
+    a = files("a.j", "j-all odd\n")
+    assert run(capsys, "check", g, a)[:2] == (1, check_out)
+    assert run(capsys, "pfaffian", g)[:2] == (pfaffian_code, pfaffian_out)

@@ -11,8 +11,10 @@ from paritygraph.gf2 import (
     combination_walk,
     indices_to_bits,
     nullspace_combinations,
+    left_nullspace_basis,
     rank,
     solve,
+    solve_with_nullspace,
 )
 
 
@@ -111,13 +113,25 @@ def test_solve_satisfies_or_certifies(wr, data):
             assert (int(row & sum(1 << k for k, x in enumerate(r) if x)).bit_count() % 2) == b[i]
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(bit_rows, st.data())
+def test_solve_with_nullspace_is_solve_and_the_basis(wr, data):
+    w, rows = wr
+    b = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    a = M(rows, w)
+    result, basis = solve_with_nullspace(a, tuple(b))
+    assert result == solve(a, tuple(b))
+    if isinstance(result, Inconsistency):
+        assert basis == left_nullspace_basis(a)
+    else:
+        assert basis is None
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(bit_rows)
 def test_rank_nullity(wr):
     w, rows = wr
     a = M(rows, w)
-    from paritygraph.gf2 import left_nullspace_basis
-
     assert rank(a) + len(left_nullspace_basis(a)) == len(rows)
 
 

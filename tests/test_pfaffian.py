@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,7 +16,16 @@ from paritygraph.pfaffian import (
 )
 from paritygraph.solver import IntractableCertificate
 
-from conftest import grid, k33, square, triangle
+from conftest import (
+    alternating_circuits_by_pairs,
+    cube,
+    grid,
+    heawood,
+    k33,
+    relabelled,
+    square,
+    triangle,
+)
 
 
 def test_matchings_square():
@@ -141,12 +151,6 @@ def test_counts_match_enumeration_on_corpus(small_corpus):
             assert kasteleyn_count(g, o) == len(enumerate_perfect_matchings(g))
 
 
-def cube(d: int) -> Multigraph:
-    return Multigraph.from_pairs(
-        [(v + 1, (v | 1 << i) + 1) for v in range(1 << d) for i in range(d) if not v >> i & 1]
-    )
-
-
 @pytest.mark.parametrize(
     "g, block",
     [
@@ -160,3 +164,40 @@ def test_not_pfaffian_certificate_blocks_are_pinned(g, block):
     assert isinstance(r, IntractableCertificate)
     assert emit_certificate_block(r) == block
     assert all(c in alternating_circuits(g) for c in r.circuits)
+
+
+# -- alternating circuits against the frozenset pair loop ----------------
+
+
+def k33_with(extra) -> Multigraph:
+    return Multigraph.from_pairs([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)] + extra)
+
+
+def alternating_oracle_graphs():
+    from paritygraph.corpus import connected_multigraphs
+
+    graphs = [g for g in connected_multigraphs(4, 7) if g.n_vertices % 2 == 0]
+    graphs += [grid(r, c) for r in (2, 3, 4) for c in (3, 4, 5)]
+    graphs += [cube(3), heawood()]
+    graphs += [k33_with(extra) for extra in ([(1, 4)], [(1, 4), (1, 4), (2, 5)], [(3, 6), (3, 3)])]
+    graphs.append(relabelled(cube(3), [(-1) ** i * (3 * i + 2) for i in range(8)], range(-20, 40, 5)))
+    return graphs
+
+
+def test_alternating_circuits_match_pair_oracle():
+    graphs = alternating_oracle_graphs()
+    assert sum(1 for g in graphs if alternating_circuits(g)) > 100
+    for g in graphs:
+        assert alternating_circuits(g) == alternating_circuits_by_pairs(g), g.edges
+
+
+def test_grid_4x6_alternating_circuits_are_pinned():
+    # counts and digest captured from the frozenset pair loop
+    g = grid(4, 6)
+    alts = alternating_circuits(g)
+    text = "".join(f"{c.edge_ids} {c.sense}\n" for c in alts)
+    assert len(enumerate_perfect_matchings(g)) == 281
+    assert len(alts) == 1820
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8798fd1ceb185b57b08bfba16a73e6579534d397caaa0ac236bf1af763306949"
+    )

@@ -24,7 +24,7 @@ from paritygraph.scanner import (
 )
 from paritygraph.transforms import is_even_splitting_of, subdivide_edge_twice
 
-from conftest import grid, k23, k4, square, triple_edge
+from conftest import grid, k23, k4, square, triple_edge, wheel
 
 
 def test_k23_all_odd_witness_is_direct_o1():
@@ -226,11 +226,6 @@ def test_witness_subgraph_is_edge_minimal_among_candidates():
 
 
 # -- the lazy subset generator against the old sort-then-filter scan ----
-
-
-def wheel(n: int) -> Multigraph:
-    rim = [(i, i % n + 1) for i in range(1, n + 1)]
-    return Multigraph.from_pairs(rim + [(n + 1, i) for i in range(1, n + 1)])
 
 
 def ordered_masks(g, min_size):

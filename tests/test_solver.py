@@ -258,8 +258,9 @@ def test_exhaustive_certificate_shrink_is_the_combinations_minimum(small_corpus)
             result = gf2.solve(a, rhs)
             if not isinstance(result, gf2.Inconsistency):
                 continue
-            assert len(gf2.left_nullspace_basis(a)) <= gf2.EXHAUSTIVE_NULLSPACE_DIM
-            shrunk = _minimal_odd_combination(a, rhs, result.row_combination)
+            basis = gf2.left_nullspace_basis(a)
+            assert len(basis) <= gf2.EXHAUSTIVE_NULLSPACE_DIM
+            shrunk = _minimal_odd_combination(basis, rhs, result.row_combination)
             assert shrunk == min_odd_dependency_by_combinations(a, rhs)
             checked += 1
     assert checked > 50
