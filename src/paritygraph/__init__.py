@@ -5,7 +5,6 @@ from .circuits import (
     Parity,
     circuit_from_edges,
     clockwise_parity,
-    cycle_space_basis,
     enumerate_circuits,
     even_circuits,
     is_even_circuit_connected,
@@ -17,7 +16,6 @@ from .graphs import (
     Orientation,
     find_isomorphism,
     is_bipartite,
-    is_two_connected,
     isomorphic,
 )
 from .solver import (
@@ -42,7 +40,6 @@ __all__ = [
     "build_system",
     "circuit_from_edges",
     "clockwise_parity",
-    "cycle_space_basis",
     "decide",
     "enumerate_circuits",
     "even_circuits",
@@ -50,7 +47,6 @@ __all__ = [
     "is_bipartite",
     "is_even_circuit_connected",
     "is_intractable_set",
-    "is_two_connected",
     "isomorphic",
     "solve_circuits",
     "verify_orientation",

@@ -6,9 +6,6 @@ even-circuit-connected, with every even circuit of a stage that meets the
 new edges containing all of them.  Bipartite graphs decompose with 1-arc
 adjunctions only; non-bipartite ones need exactly one 2-arc adjunction,
 placed at stage 1.
-
-A Menger-style vertex-disjoint path finder is included as the standalone
-connectivity subroutine.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from .circuits import (
     DEFAULT_CIRCUIT_CAP,
     Circuit,
     circuit_from_edges,
-    enumerate_circuits,
     even_circuit_connectivity_witness,
+    even_circuits,
     is_even_circuit_connected,
 )
 from .errors import ContractError, InputError
@@ -44,110 +41,6 @@ class Adjunction:
 class ArcDecomposition:
     stages: tuple[frozenset[int], ...]
     adjunctions: tuple[Adjunction, ...]
-
-
-# -- Menger subroutine --------------------------------------------------
-
-
-def disjoint_paths(
-    g: Multigraph, s_set: Sequence[int], t_set: Sequence[int], n: int
-) -> Optional[list[Arc]]:
-    """n vertex-disjoint paths from ``s_set`` to ``t_set`` with no inner
-    vertex in either set, via unit-capacity vertex-split max flow.
-
-    Returns None when infeasible.
-    """
-    s_set, t_set = list(dict.fromkeys(s_set)), list(dict.fromkeys(t_set))
-    if set(s_set) & set(t_set):
-        raise InputError("source and target sets must be disjoint")
-    for v in list(s_set) + list(t_set):
-        if v not in g.incidence:
-            raise InputError(f"unknown vertex {v}")
-    if n <= 0:
-        return []
-
-    # nodes: ("in", v) / ("out", v) with unit vertex capacity, plus
-    # ("S",) and ("T",).  S/T vertices cannot be traversed: their in->out
-    # arc is reachable only from the supersource / leads only to the sink.
-    INF = 1 << 30
-    cap: dict[tuple, dict[tuple, int]] = {}
-
-    def add(a, b, c):
-        cap.setdefault(a, {}).setdefault(b, 0)
-        cap.setdefault(b, {}).setdefault(a, 0)
-        cap[a][b] += c
-
-    sset, tset = set(s_set), set(t_set)
-    for v in g.vertex_ids:
-        add(("in", v), ("out", v), 1)
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        for a, b in ((e.u, e.v), (e.v, e.u)):
-            if b in sset or a in tset:
-                continue  # nothing may enter a source or leave a target
-            add(("out", a), ("in", b), 1)
-    for s in s_set:
-        add(("S",), ("in", s), 1)
-    for t in t_set:
-        add(("out", t), ("T",), 1)
-
-    flow: dict[tuple, dict[tuple, int]] = {
-        a: {b: 0 for b in nbrs} for a, nbrs in cap.items()
-    }
-
-    def bfs_augment() -> bool:
-        parent: dict[tuple, tuple] = {("S",): ("S",)}
-        queue = [("S",)]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            for b in sorted(cap[a]):
-                if b not in parent and cap[a][b] - flow[a][b] > 0:
-                    parent[b] = a
-                    if b == ("T",):
-                        while b != ("S",):
-                            a = parent[b]
-                            flow[a][b] += 1
-                            flow[b][a] -= 1
-                            b = a
-                        return True
-                    queue.append(b)
-        return False
-
-    sent = 0
-    while sent < n and bfs_augment():
-        sent += 1
-    if sent < n:
-        return None
-
-    # decompose the flow into vertex paths
-    paths = []
-    for s in sorted(s_set):
-        if flow[("S",)][("in", s)] <= 0:
-            continue
-        verts = [s]
-        cur = s
-        while cur not in tset:
-            nxt = None
-            for b, f in sorted(flow[("out", cur)].items()):
-                if f > 0 and b[0] == "in":
-                    nxt = b[1]
-                    flow[("out", cur)][b] -= 1
-                    break
-            if nxt is None:
-                raise ContractError("flow decomposition left a path unfinished")
-            verts.append(nxt)
-            cur = nxt
-        edge_ids = []
-        for a, b in zip(verts, verts[1:]):
-            eid = min(
-                e.id for e in g.incidence[a] if not e.is_loop and e.other(a) == b
-            )
-            edge_ids.append(eid)
-        paths.append(Arc(tuple(verts), tuple(edge_ids)))
-    return paths[:n]
 
 
 # -- arcs of a circuit relative to a stage ------------------------------
@@ -227,9 +120,7 @@ def find_adjunction(
     h_edges = frozenset(h_edges)
     if not h_edges or not h_edges < g.edge_id_set:
         raise ContractError("stage must be a nonempty proper edge subset")
-    evens = _evens if _evens is not None else [
-        c for c in enumerate_circuits(g, cap) if c.is_even
-    ]
+    evens = _evens if _evens is not None else even_circuits(g, cap)
     best_two: Optional[tuple[Circuit, tuple[Arc, ...]]] = None
     for c in evens:
         new = c.edge_set - h_edges
@@ -255,7 +146,7 @@ def decompose(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> ArcDecomposition
             "graph is not even-circuit-connected: no even circuit crosses "
             f"the bipartition {sorted(side1)} | {sorted(side2)}"
         )
-    evens = [c for c in enumerate_circuits(g, cap) if c.is_even]
+    evens = even_circuits(g, cap)
     all_edges = g.edge_id_set
     bipartite, _ = is_bipartite(g)
 
@@ -335,10 +226,7 @@ def validate(g: Multigraph, d: ArcDecomposition, cap: int = DEFAULT_CIRCUIT_CAP)
             return f"adjunction {i} arcs do not cover the new edges"
         if len(arcs) == 2:
             two_arc_stages.append(i)
-        sub_evens = [
-            c2 for c2 in enumerate_circuits(g, cap)
-            if c2.is_even and c2.edge_set <= cur
-        ]
+        sub_evens = [c2 for c2 in even_circuits(g, cap) if c2.edge_set <= cur]
         for c2 in sub_evens:
             hit = c2.edge_set & diff
             if hit and hit != diff:

@@ -1,4 +1,4 @@
-"""Circuit enumeration, clockwise parities, cycle space, even-circuit connectivity."""
+"""Circuit enumeration, clockwise parities, even-circuit connectivity."""
 
 from __future__ import annotations
 
@@ -184,56 +184,6 @@ def clockwise_parity(o: Orientation, c: Circuit) -> Parity:
         if o.agrees(eid, v, head):
             agree += 1
     return Parity(agree % 2)
-
-
-def cycle_space_basis(g: Multigraph) -> tuple[frozenset[int], ...]:
-    """Fundamental circuits of a spanning tree, as GF(2) edge-id sets."""
-    if not g.is_connected():
-        raise InputError("cycle space basis requires a connected graph")
-    root = g.vertex_ids[0] if g.vertex_ids else 0
-    parent_edge: dict[int, Optional[int]] = {root: None}
-    parent: dict[int, Optional[int]] = {root: None}
-    tree_edges: set[int] = set()
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        w = queue[qi]
-        qi += 1
-        for e in g.incidence[w]:
-            if e.is_loop:
-                continue
-            x = e.other(w)
-            if x not in parent:
-                parent[x] = w
-                parent_edge[x] = e.id
-                tree_edges.add(e.id)
-                queue.append(x)
-
-    depth: dict[int, int] = {root: 0}
-    for w in queue[1:]:
-        depth[w] = depth[parent[w]] + 1
-
-    basis = []
-    for e in g.edges:
-        if e.id in tree_edges:
-            continue
-        if e.is_loop:
-            basis.append(frozenset([e.id]))
-            continue
-        ids = {e.id}
-        a, b = e.u, e.v
-        while depth[a] > depth[b]:
-            ids.add(parent_edge[a])
-            a = parent[a]
-        while depth[b] > depth[a]:
-            ids.add(parent_edge[b])
-            b = parent[b]
-        while a != b:
-            ids.add(parent_edge[a])
-            ids.add(parent_edge[b])
-            a, b = parent[a], parent[b]
-        basis.append(frozenset(ids))
-    return tuple(basis)
 
 
 def even_circuit_connectivity_witness(

@@ -28,7 +28,13 @@ from .pfaffian import (
     kasteleyn_count,
     verify_pfaffian,
 )
-from .scanner import find_witness, scan_all_even, scan_all_odd, verify_witness
+from .scanner import (
+    DEFAULT_SCAN_BUDGET,
+    find_witness,
+    scan_all_even,
+    scan_all_odd,
+    verify_witness,
+)
 from .solver import (
     IntractableCertificate,
     ParityAssignment,
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--all-odd", action="store_true")
     s.add_argument("--all-even", action="store_true")
     s.add_argument("--default-parity", choices=["odd", "even"])
-    s.add_argument("--budget", type=int, default=200_000)
+    s.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     s.add_argument("--cross-check", action="store_true")
     s.add_argument("--dot", action="store_true")
     s.set_defaults(func=cmd_scan)

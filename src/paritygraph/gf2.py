@@ -174,19 +174,3 @@ def left_nullspace_basis(a: Gf2Matrix) -> list[frozenset[int]]:
     work, _ = _eliminate(a, None)
     return _nullspace_basis(work)
 
-
-def nullspace_combinations(a: Gf2Matrix) -> list[frozenset[int]]:
-    """All nonempty row subsets summing to zero, when few enough dependencies.
-
-    With more than EXHAUSTIVE_NULLSPACE_DIM independent dependencies only
-    the basis is returned.
-    """
-    basis = left_nullspace_basis(a)
-    if len(basis) > EXHAUSTIVE_NULLSPACE_DIM:
-        return basis
-    out = [
-        frozenset(bits_to_indices(bits))
-        for bits in combination_walk([indices_to_bits(s) for s in basis])
-    ]
-    out.sort(key=_by_size)
-    return out

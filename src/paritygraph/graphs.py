@@ -284,76 +284,6 @@ def _odd_circuit_from_conflict(w, x, conflict_edge, parent, parent_edge) -> froz
     return frozenset(edges)
 
 
-# -- 2-connectivity ----------------------------------------------------
-
-
-def is_two_connected(g: Multigraph) -> bool:
-    """Connected with no cutvertex.
-
-    A 2-vertex multigraph counts as 2-connected exactly when at least two
-    parallel edges join its vertices.  Single vertices are not 2-connected.
-    """
-    n = g.n_vertices
-    if n == 0 or n == 1:
-        return False
-    if not g.is_connected():
-        return False
-    if n == 2:
-        return sum(1 for e in g.edges if not e.is_loop) >= 2
-
-    # Iterative Hopcroft-Tarjan lowpoint computation.  Parallel edges are
-    # handled by skipping the tree edge by id, not the parent vertex.
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = 0
-    root = g.vertex_ids[0]
-    stack: list[tuple[int, Optional[int], int]] = [(root, None, 0)]
-    children_of_root = 0
-    parent_of: dict[int, Optional[int]] = {root: None}
-    tree_edge: dict[int, Optional[int]] = {root: None}
-    order: list[int] = []
-
-    while stack:
-        v, via_edge, idx = stack.pop()
-        if idx == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-            order.append(v)
-        inc = g.incidence[v]
-        advanced = False
-        for i in range(idx, len(inc)):
-            e = inc[i]
-            if e.is_loop:
-                continue
-            x = e.other(v)
-            if x not in disc:
-                parent_of[x] = v
-                tree_edge[x] = e.id
-                if v == root:
-                    children_of_root += 1
-                stack.append((v, via_edge, i + 1))
-                stack.append((x, e.id, 0))
-                advanced = True
-                break
-            elif e.id != via_edge:
-                low[v] = min(low[v], disc[x])
-        if not advanced and parent_of.get(v) is not None:
-            p = parent_of[v]
-            low[p] = min(low[p], low[v])
-
-    if len(disc) != n:
-        return False
-    if children_of_root >= 2:
-        return False
-    for v in order:
-        p = parent_of[v]
-        if p is None or p == root:
-            continue
-        if low[v] >= disc[p]:
-            return False
-    return True
-
-
 # -- isomorphism -------------------------------------------------------
 
 
@@ -379,15 +309,16 @@ def _vertex_signature(g: Multigraph, mult) -> dict[int, tuple]:
 def find_isomorphism(g1: Multigraph, g2: Multigraph) -> Optional[dict[int, int]]:
     """A vertex bijection preserving edge multiplicities, or None.
 
-    Exhaustive backtracking with degree-signature pruning; supported up to
+    Graphs of different vertex or edge counts give None at once; otherwise
+    exhaustive backtracking with degree-signature pruning, supported up to
     ISO_VERTEX_LIMIT vertices.
     """
-    if g1.n_vertices > ISO_VERTEX_LIMIT or g2.n_vertices > ISO_VERTEX_LIMIT:
+    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+        return None
+    if g1.n_vertices > ISO_VERTEX_LIMIT:
         raise CapabilityError(
             f"isomorphism supported up to {ISO_VERTEX_LIMIT} vertices"
         )
-    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
-        return None
     m1, m2 = _pair_multiplicities(g1), _pair_multiplicities(g2)
     s1, s2 = _vertex_signature(g1, m1), _vertex_signature(g2, m2)
     if sorted(s1.values()) != sorted(s2.values()):

@@ -29,14 +29,11 @@ from .gf2 import bits_to_indices, indices_to_bits
 from .graphs import Multigraph, find_isomorphism
 from .solver import ParityAssignment, is_intractable_set
 from .transforms import (
-    Degree2Contraction,
     OddCircuitContraction,
     SplittingTrace,
-    _graph_invariant,
-    contract_degree2_pair,
-    degree2_options,
     is_even_splitting_of,
     lift_even_circuit,
+    splitting_traces,
 )
 
 DEFAULT_SCAN_BUDGET = 200_000
@@ -60,65 +57,6 @@ class _Candidate:
     odd_circuit: Optional[frozenset[int]]
     trace: SplittingTrace
     lifted: tuple[Circuit, ...]  # even circuits of the scanned graph
-
-
-def _splitting_matches(
-    h: Multigraph, bases: tuple[str, ...]
-) -> list[tuple[str, SplittingTrace]]:
-    """All catalog bases ``h`` can be contracted to, with one trace each.
-
-    A single exploration of the contraction tree serves every base; the
-    first trace found per base (breadth order, ascending vertices) wins.
-    """
-    applicable = []
-    for name in bases:
-        b = base_graph(name)
-        diff = h.n_edges - b.n_edges
-        if diff < 0 or diff % 2:
-            continue
-        # each contraction drops two edges and one or two vertices
-        vdiff = h.n_vertices - b.n_vertices
-        if not diff // 2 <= vdiff <= diff:
-            continue
-        applicable.append(name)
-    if not applicable:
-        return []
-    min_edges = min(base_graph(n).n_edges for n in applicable)
-    by_size: dict[int, list[str]] = {}
-    for name in applicable:
-        by_size.setdefault(base_graph(name).n_edges, []).append(name)
-
-    found: dict[str, SplittingTrace] = {}
-    seen: dict[tuple, list[Multigraph]] = {}
-
-    def register(g: Multigraph) -> bool:
-        bucket = seen.setdefault(_graph_invariant(g), [])
-        for other in bucket:
-            if find_isomorphism(g, other) is not None:
-                return False
-        bucket.append(g)
-        return True
-
-    frontier: list[tuple[Multigraph, tuple]] = [(h, ())]
-    register(h)
-    while frontier:
-        next_frontier = []
-        for g, steps in frontier:
-            for name in by_size.get(g.n_edges, []):
-                if name not in found and find_isomorphism(g, base_graph(name)):
-                    found[name] = SplittingTrace(h, g, steps)
-            if g.n_edges - 2 < min_edges:
-                continue
-            for v in degree2_options(g):
-                inc = g.incidence[v]
-                child, _ = contract_degree2_pair(g, v)
-                if register(child):
-                    step = Degree2Contraction(v, (inc[0].id, inc[1].id))
-                    next_frontier.append((child, steps + (step,)))
-        frontier = next_frontier
-        if len(found) == len(applicable):
-            break
-    return [(name, found[name]) for name in bases if name in found]
 
 
 def _lift_base_circuits(
@@ -252,22 +190,27 @@ def witness_candidates(
     per assignment has to do.
     """
     even_masks, odd = _circuit_masks(g, cap)
-    min_base_edges = min(base_graph(name).n_edges for name in WITNESS_BASES)
+    bases = [base_graph(name) for name in WITNESS_BASES]
+    min_base_edges = min(b.n_edges for b in bases)
     min_count = min(EVEN_CIRCUIT_COUNT[n] for n in WITNESS_BASES)
+
+    def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
+        traces = splitting_traces(h, bases)
+        return [(n, t) for n, t in zip(WITNESS_BASES, traces) if t is not None]
 
     candidates: list[_Candidate] = []
     for mask, subset in _edge_subsets(g, min(3, min_base_edges), budget):
         n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
         direct: list[tuple[str, SplittingTrace]] = []
         if n_even_inside >= min_count and not _has_loop(g, subset):
-            direct = _splitting_matches(g.subgraph(subset), WITNESS_BASES)
+            direct = matches(g.subgraph(subset))
             for name, trace in direct:
                 lifted = _lift_base_circuits(g, subset, None, trace)
                 candidates.append(_Candidate(subset, name, None, trace, lifted))
         if direct:
             continue
         for oset, contracted in _odd_contractions(g, subset, mask, odd, min_base_edges):
-            for name, trace in _splitting_matches(contracted, WITNESS_BASES):
+            for name, trace in matches(contracted):
                 lifted = _lift_base_circuits(g, subset, oset, trace)
                 candidates.append(_Candidate(subset, name, oset, trace, lifted))
     return tuple(candidates)

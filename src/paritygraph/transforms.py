@@ -2,16 +2,21 @@
 subdivisions, splitting detection, circuit lifting, induced assignments.
 
 Contracting the two edges at a degree-2 vertex is the inverse of an even
-vertex splitting; chains of such contractions are searched to decide
-whether one graph is an even splitting of another.  Even circuits lift
-uniquely backwards through both this contraction and the contraction of
-an odd circuit, which is what makes parity assignments transportable.
+vertex splitting.  ``splitting_traces`` is the one search for chains of
+such contractions: breadth-first, children in ascending vertex order, so
+each base gets its lexicographically least trace.  It merges a state into
+an earlier one with the same ``_graph_invariant`` that is isomorphic to
+it (equal, above ISO_VERTEX_LIMIT vertices), and refuses inputs over
+SPLITTING_VERTEX_LIMIT vertices with CapabilityError before any work.
+Even circuits lift uniquely backwards through both this contraction and
+the contraction of an odd circuit, which is what makes parity
+assignments transportable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,
@@ -20,7 +25,7 @@ from .circuits import (
     even_circuits,
 )
 from .errors import CapabilityError, InputError
-from .graphs import ContractionMap, Multigraph, find_isomorphism
+from .graphs import ISO_VERTEX_LIMIT, ContractionMap, Multigraph, find_isomorphism
 from .solver import ParityAssignment
 
 SPLITTING_VERTEX_LIMIT = 14
@@ -128,67 +133,74 @@ def _graph_invariant(g: Multigraph) -> tuple:
     )
 
 
-def is_even_splitting_of(
-    h: Multigraph, b: Multigraph, vertex_limit: int = SPLITTING_VERTEX_LIMIT
-) -> Optional[SplittingTrace]:
-    """A chain of degree-2 contractions from ``h`` to a graph isomorphic to
-    ``b``, or None when no chain exists."""
-    if h.n_vertices > vertex_limit:
+def splitting_traces(
+    h: Multigraph, bases: Sequence[Multigraph]
+) -> list[Optional[SplittingTrace]]:
+    """Per base, a chain of degree-2 contractions from ``h`` to a graph
+    isomorphic to it, or None when no chain exists.
+
+    One breadth-first exploration of the contraction tree serves every
+    base.  Children are generated in ascending vertex order, so the first
+    trace found per base is its lexicographically least step sequence.
+    Isomorphic states have the same future, so a state is dropped when an
+    earlier one in its ``_graph_invariant`` bucket matches it: by
+    ``find_isomorphism`` up to ISO_VERTEX_LIMIT vertices, by equality
+    above.  Inputs over SPLITTING_VERTEX_LIMIT vertices raise
+    CapabilityError before any work.
+    """
+    if h.n_vertices > SPLITTING_VERTEX_LIMIT:
         raise CapabilityError(
-            f"splitting search supported up to {vertex_limit} vertices"
+            f"splitting search supported up to {SPLITTING_VERTEX_LIMIT} vertices"
         )
-    diff = h.n_edges - b.n_edges
-    if diff < 0 or diff % 2:
-        return None
-    # each contraction drops two edges and one or two vertices
-    k = diff // 2
-    vdiff = h.n_vertices - b.n_vertices
-    if not k <= vdiff <= 2 * k:
-        return None
+    found: list[Optional[SplittingTrace]] = [None] * len(bases)
+    by_size: dict[int, list[int]] = {}
+    for i, b in enumerate(bases):
+        diff = h.n_edges - b.n_edges
+        # each contraction drops two edges and one or two vertices
+        if diff >= 0 and not diff % 2 and diff // 2 <= h.n_vertices - b.n_vertices <= diff:
+            by_size.setdefault(b.n_edges, []).append(i)
+    if not by_size:
+        return found
+    todo = sum(len(ids) for ids in by_size.values())
+    min_edges = min(by_size)
+    seen: dict[tuple, list[Multigraph]] = {}
 
-    target_inv = _graph_invariant(b)
-    dead: dict[tuple, list[Multigraph]] = {}
+    def register(g: Multigraph) -> bool:
+        bucket = seen.setdefault(_graph_invariant(g), [])
+        if g.n_vertices > ISO_VERTEX_LIMIT:
+            if g in bucket:
+                return False
+        elif any(find_isomorphism(g, other) is not None for other in bucket):
+            return False
+        bucket.append(g)
+        return True
 
-    def same(g1: Multigraph, g2: Multigraph) -> bool:
-        # exact equality for states too large for the isomorphism search;
-        # that only weakens deduplication, never correctness
-        if g1.n_vertices > 12 or g2.n_vertices > 12:
-            return g1 == g2
-        return find_isomorphism(g1, g2) is not None
-
-    def seen_dead(g: Multigraph) -> bool:
-        bucket = dead.get(_graph_invariant(g), [])
-        return any(same(g, other) for other in bucket)
-
-    def mark_dead(g: Multigraph) -> None:
-        dead.setdefault(_graph_invariant(g), []).append(g)
-
-    def search(g: Multigraph, steps: list[Step]) -> Optional[tuple[Step, ...]]:
-        if g.n_edges == b.n_edges:
-            if _graph_invariant(g) == target_inv and find_isomorphism(g, b):
-                return tuple(steps)
-            return None
-        if seen_dead(g):
-            return None
-        for v in degree2_options(g):
-            inc = g.incidence[v]
-            step = Degree2Contraction(v, (inc[0].id, inc[1].id))
-            child, _ = contract_degree2_pair(g, v)
-            steps.append(step)
-            found = search(child, steps)
-            if found is not None:
+    register(h)
+    frontier: list[tuple[Multigraph, tuple[Step, ...]]] = [(h, ())]
+    while frontier:
+        next_frontier = []
+        for g, steps in frontier:
+            for i in by_size.get(g.n_edges, ()):
+                if found[i] is None and find_isomorphism(g, bases[i]) is not None:
+                    found[i] = SplittingTrace(h, g, steps)
+                    todo -= 1
+            if not todo:
                 return found
-            steps.pop()
-        mark_dead(g)
-        return None
+            if g.n_edges - 2 < min_edges:
+                continue
+            for v in degree2_options(g):
+                child, _ = contract_degree2_pair(g, v)
+                if register(child):
+                    inc = g.incidence[v]
+                    step = Degree2Contraction(v, (inc[0].id, inc[1].id))
+                    next_frontier.append((child, steps + (step,)))
+        frontier = next_frontier
+    return found
 
-    steps = search(h, [])
-    if steps is None:
-        return None
-    reached = h
-    for s in steps:
-        reached = apply_step(reached, s)
-    return SplittingTrace(h, reached, steps)
+
+def is_even_splitting_of(h: Multigraph, b: Multigraph) -> Optional[SplittingTrace]:
+    """``splitting_traces(h, [b])[0]``."""
+    return splitting_traces(h, [b])[0]
 
 
 def lift_even_circuit(c: Circuit, g_before: Multigraph, step: Step) -> Circuit:

@@ -7,9 +7,20 @@ import itertools
 import pytest
 
 from paritygraph import Multigraph, Orientation, clockwise_parity, even_circuits
+from paritygraph.catalog import base_graph
 from paritygraph.circuits import Circuit
-from paritygraph.errors import InputError
+from paritygraph.errors import CapabilityError, InputError
+from paritygraph.graphs import find_isomorphism
 from paritygraph.pfaffian import enumerate_perfect_matchings
+from paritygraph.transforms import (
+    SPLITTING_VERTEX_LIMIT,
+    Degree2Contraction,
+    SplittingTrace,
+    _graph_invariant,
+    apply_step,
+    contract_degree2_pair,
+    degree2_options,
+)
 
 
 def k23() -> Multigraph:
@@ -76,6 +87,35 @@ def relabelled(g: Multigraph, vertex_ids, edge_ids) -> Multigraph:
     vmap = dict(zip(g.vertex_ids, vertex_ids))
     emap = dict(zip((e.id for e in g.edges), edge_ids))
     return Multigraph.build(vmap.values(), [(emap[e.id], vmap[e.u], vmap[e.v]) for e in g.edges])
+
+
+def subdivided(pairs, lengths) -> Multigraph:
+    """Each edge ``pairs[i]`` replaced by a path of ``lengths[i]`` edges
+    through fresh vertices."""
+    out = []
+    fresh = max(max(p) for p in pairs) + 1
+    for (u, v), length in zip(pairs, lengths):
+        seq = [u] + list(range(fresh, fresh + length - 1)) + [v]
+        fresh += length - 1
+        out.extend(zip(seq, seq[1:]))
+    return Multigraph.from_pairs(out)
+
+
+def even_splittings(g: Multigraph) -> list[Multigraph]:
+    """Every single even vertex splitting of a loop-free ``g``: a vertex
+    hands a nonempty proper subset of its edges (never its lowest) to a
+    new vertex, joined to it through a fresh degree-2 vertex."""
+    out = []
+    for v in g.vertex_ids:
+        inc = g.incidence[v]
+        for r in range(1, len(inc)):
+            for move in itertools.combinations(inc[1:], r):
+                v2 = max(g.vertex_ids) + 1
+                m = max(e.id for e in g.edges)
+                edges = [(e.id, v2, e.other(v)) if e in move else (e.id, e.u, e.v) for e in g.edges]
+                edges += [(m + 1, v, v2 + 1), (m + 2, v2 + 1, v2)]
+                out.append(Multigraph.build(list(g.vertex_ids) + [v2, v2 + 1], edges))
+    return out
 
 
 # -- independent oracles -------------------------------------------------
@@ -199,6 +239,101 @@ def two_connected_by_brute_force(g: Multigraph) -> bool:
         if len(seen) != len(rest_vertices):
             return False
     return True
+
+
+def splitting_by_dfs(h: Multigraph, b: Multigraph, vertex_limit: int = SPLITTING_VERTEX_LIMIT):
+    """is_even_splitting_of as it was before the one breadth-first search:
+    depth-first over degree-2 contractions in ascending vertex order,
+    memoising dead states up to isomorphism (equality above 12 vertices)."""
+    if h.n_vertices > vertex_limit:
+        raise CapabilityError(f"splitting search supported up to {vertex_limit} vertices")
+    diff = h.n_edges - b.n_edges
+    if diff < 0 or diff % 2:
+        return None
+    k = diff // 2
+    vdiff = h.n_vertices - b.n_vertices
+    if not k <= vdiff <= 2 * k:
+        return None
+
+    target_inv = _graph_invariant(b)
+    dead: dict[tuple, list[Multigraph]] = {}
+
+    def same(g1: Multigraph, g2: Multigraph) -> bool:
+        if g1.n_vertices > 12 or g2.n_vertices > 12:
+            return g1 == g2
+        return find_isomorphism(g1, g2) is not None
+
+    def search(g: Multigraph, steps: list):
+        if g.n_edges == b.n_edges:
+            if _graph_invariant(g) == target_inv and find_isomorphism(g, b):
+                return tuple(steps)
+            return None
+        if any(same(g, other) for other in dead.get(_graph_invariant(g), [])):
+            return None
+        for v in degree2_options(g):
+            inc = g.incidence[v]
+            child, _ = contract_degree2_pair(g, v)
+            steps.append(Degree2Contraction(v, (inc[0].id, inc[1].id)))
+            found = search(child, steps)
+            if found is not None:
+                return found
+            steps.pop()
+        dead.setdefault(_graph_invariant(g), []).append(g)
+        return None
+
+    steps = search(h, [])
+    if steps is None:
+        return None
+    reached = h
+    for s in steps:
+        reached = apply_step(reached, s)
+    return SplittingTrace(h, reached, steps)
+
+
+def splitting_by_bfs(h: Multigraph, bases) -> dict:
+    """The scanner's multi-base breadth-first search as it was before it
+    moved into transforms: base name -> first trace found, with states
+    merged by invariant and isomorphism."""
+    applicable = []
+    for name in bases:
+        b = base_graph(name)
+        diff = h.n_edges - b.n_edges
+        if diff >= 0 and not diff % 2 and diff // 2 <= h.n_vertices - b.n_vertices <= diff:
+            applicable.append(name)
+    if not applicable:
+        return {}
+    min_edges = min(base_graph(n).n_edges for n in applicable)
+    found: dict = {}
+    seen: dict[tuple, list[Multigraph]] = {}
+
+    def register(g: Multigraph) -> bool:
+        bucket = seen.setdefault(_graph_invariant(g), [])
+        if any(find_isomorphism(g, other) is not None for other in bucket):
+            return False
+        bucket.append(g)
+        return True
+
+    frontier = [(h, ())]
+    register(h)
+    while frontier:
+        next_frontier = []
+        for g, steps in frontier:
+            for name in applicable:
+                b = base_graph(name)
+                if b.n_edges == g.n_edges and name not in found and find_isomorphism(g, b):
+                    found[name] = SplittingTrace(h, g, steps)
+            if g.n_edges - 2 < min_edges:
+                continue
+            for v in degree2_options(g):
+                inc = g.incidence[v]
+                child, _ = contract_degree2_pair(g, v)
+                if register(child):
+                    step = Degree2Contraction(v, (inc[0].id, inc[1].id))
+                    next_frontier.append((child, steps + (step,)))
+        frontier = next_frontier
+        if len(found) == len(applicable):
+            break
+    return found
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ from paritygraph.arcdecomp import (
     ArcDecomposition,
     circuit_arcs,
     decompose,
-    disjoint_paths,
     find_adjunction,
     validate,
 )
@@ -15,31 +14,6 @@ from paritygraph.errors import ContractError, InputError
 from paritygraph.graphs import is_bipartite
 
 from conftest import k23, k4, square, triangle, triple_edge
-
-
-def test_disjoint_paths_k4_pairs():
-    paths = disjoint_paths(k4(), [1, 2], [3, 4], 2)
-    assert paths is not None and len(paths) == 2
-    seen = set()
-    for p in paths:
-        assert not (set(p.vertices) & seen)
-        seen |= set(p.vertices)
-
-
-def test_disjoint_paths_infeasible_on_path_graph():
-    g = Multigraph.from_pairs([(1, 2), (2, 3), (3, 4)])
-    assert disjoint_paths(g, [1, 2], [3, 4], 2) is None
-
-
-def test_disjoint_paths_k23_left_to_right():
-    paths = disjoint_paths(k23(), [1, 2], [4, 5], 2)
-    assert paths is not None
-    assert all(len(p.edge_ids) == 1 for p in paths)
-
-
-def test_disjoint_paths_rejects_overlapping_sets():
-    with pytest.raises(InputError):
-        disjoint_paths(k4(), [1, 2], [2, 3], 2)
 
 
 def test_circuit_arcs_k23():

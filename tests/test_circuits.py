@@ -8,14 +8,14 @@ from paritygraph import (
     Parity,
     circuit_from_edges,
     clockwise_parity,
-    cycle_space_basis,
     enumerate_circuits,
     even_circuits,
     is_even_circuit_connected,
-    is_two_connected,
 )
 from paritygraph.circuits import even_circuit_connectivity_witness
 from paritygraph.errors import ContractError, InputError, ResourceLimitError
+from paritygraph.gf2 import rank
+from paritygraph.solver import circuit_matrix
 
 from conftest import (
     circuit_by_two_walks,
@@ -27,6 +27,7 @@ from conftest import (
     square,
     triangle,
     triple_edge,
+    two_connected_by_brute_force,
     wheel,
 )
 
@@ -143,42 +144,25 @@ def test_single_edge_flip_toggles_exactly_containing_circuits(small_corpus):
 
 
 def test_cycle_space_basis_sizes():
+    # the enumerated circuits span the cycle space, of dimension m - n + 1
     tree = Multigraph.from_pairs([(1, 2), (2, 3), (3, 4)])
-    assert cycle_space_basis(tree) == ()
-    assert len(cycle_space_basis(k23())) == 2
-    assert len(cycle_space_basis(k4())) == 3
-
-
-def test_cycle_space_basis_disconnected_rejected():
-    g = Multigraph.build([1, 2, 3, 4], [(1, 1, 2), (2, 3, 4)])
-    with pytest.raises(InputError):
-        cycle_space_basis(g)
-
-
-def test_basis_vectors_are_circuits():
-    for ids in cycle_space_basis(k4()):
-        circuit_from_edges(k4(), ids)
+    for g, dim in ((tree, 0), (k23(), 2), (k4(), 3)):
+        assert rank(circuit_matrix(enumerate_circuits(g))[0]) == dim
 
 
 def test_span_closure_on_k4():
-    # every GF(2) combination of basis vectors that is a single circuit
-    # appears in the enumeration
+    # every edge subset of K4 that is a single circuit is enumerated
     import itertools
 
-    basis = cycle_space_basis(k4())
     enumerated = {c.edge_set for c in enumerate_circuits(k4())}
-    for r in range(1, len(basis) + 1):
-        for combo in itertools.combinations(basis, r):
-            acc = frozenset()
-            for s in combo:
-                acc = acc ^ s
-            if not acc:
-                continue
+    ids = sorted(k4().edge_id_set)
+    for r in range(1, len(ids) + 1):
+        for combo in itertools.combinations(ids, r):
             try:
-                circuit_from_edges(k4(), acc)
+                circuit_from_edges(k4(), combo)
             except InputError:
                 continue
-            assert acc in enumerated
+            assert frozenset(combo) in enumerated
 
 
 def test_even_circuit_connected_examples():
@@ -204,7 +188,7 @@ def test_ecc_implies_two_connected(small_corpus):
         if g.n_edges == 0 or g.has_isolated_vertices():
             continue
         if is_even_circuit_connected(g) and g.n_vertices >= 2:
-            assert is_two_connected(g)
+            assert two_connected_by_brute_force(g)
 
 
 # -- canonical senses against the two-walk oracle -----------------------

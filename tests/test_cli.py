@@ -3,7 +3,7 @@ import pytest
 from paritygraph.cli import main
 from paritygraph.fileio import emit_graph
 
-from conftest import grid, k23, k33, k4, square, triangle
+from conftest import grid, k23, k33, k4, square, subdivided, triangle
 
 K23_TEXT = emit_graph(k23())
 K4_TEXT = emit_graph(k4())
@@ -93,6 +93,16 @@ def test_scan_explicit_assignment(files, capsys):
     a = files("a.j", "j odd 4 1 2 4 5\nj odd 4 1 3 4 6\nj odd 4 2 3 5 6\n")
     code, out, _ = run(capsys, "scan", g, a, "--cross-check")
     assert code == 0 and out.startswith("WITNESS O1\n")
+
+
+def test_scan_over_the_splitting_limit_exits_2(files, capsys):
+    # K_{2,3} with one edge made an 11-edge path: 15 vertices
+    big = subdivided([(e.u, e.v) for e in k23().edges], (11, 1, 1, 1, 1, 1))
+    g = files("big.graph", emit_graph(big))
+    for how in (["--all-odd"], [files("odd.j", "j-all odd\n")]):
+        code, out, err = run(capsys, "scan", g, *how)
+        assert code == 2 and out == ""
+        assert err == "error: splitting search supported up to 14 vertices\n"
 
 
 def test_decompose_k23(files, capsys):

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from paritygraph import Multigraph, find_isomorphism, is_bipartite, is_two_connected, isomorphic
+from paritygraph import Multigraph, find_isomorphism, is_bipartite, isomorphic
 from paritygraph.errors import CapabilityError, InputError
+from paritygraph.graphs import ISO_VERTEX_LIMIT
 
 from conftest import k23, k4, triangle, triple_edge, two_connected_by_brute_force
 
@@ -105,23 +106,14 @@ def test_loop_breaks_bipartiteness():
 
 
 def test_two_connected_examples():
-    assert is_two_connected(k23())
+    # the oracle behind test_ecc_implies_two_connected
+    assert two_connected_by_brute_force(k23())
     bowtie = Multigraph.from_pairs([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
-    assert not is_two_connected(bowtie)
+    assert not two_connected_by_brute_force(bowtie)
     path = Multigraph.from_pairs([(1, 2), (2, 3), (3, 4)])
-    assert not is_two_connected(path)
+    assert not two_connected_by_brute_force(path)
     digon = Multigraph.from_pairs([(1, 2), (1, 2)])
-    assert is_two_connected(digon)
-
-
-def test_two_connected_matches_brute_force(small_corpus):
-    for g in small_corpus:
-        if g.n_vertices >= 3 or (
-            g.n_vertices == 2 and sum(1 for e in g.edges if not e.is_loop) >= 2
-        ):
-            assert is_two_connected(g) == two_connected_by_brute_force(g), [
-                (e.id, e.u, e.v) for e in g.edges
-            ]
+    assert two_connected_by_brute_force(digon)
 
 
 def test_isomorphic_relabeled_k23():
@@ -148,6 +140,13 @@ def test_isomorphic_is_equivalence_relation(small_corpus):
         assert isomorphic(g, g)
     for g1, g2 in itertools.combinations(sample, 2):
         assert isomorphic(g1, g2) == isomorphic(g2, g1)
+
+
+def test_isomorphism_compares_sizes_before_the_limit():
+    path13 = Multigraph.from_pairs([(i, i + 1) for i in range(1, 13)])
+    assert path13.n_vertices == ISO_VERTEX_LIMIT + 1
+    assert find_isomorphism(path13, k23()) is None
+    assert find_isomorphism(k23(), path13) is None
 
 
 def test_isomorphism_size_guard():

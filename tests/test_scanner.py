@@ -13,7 +13,7 @@ from paritygraph import (
     even_circuits,
 )
 from paritygraph.catalog import base_graph
-from paritygraph.errors import ResourceLimitError
+from paritygraph.errors import CapabilityError, ResourceLimitError
 from paritygraph.scanner import (
     _edge_subsets,
     find_witness,
@@ -22,9 +22,13 @@ from paritygraph.scanner import (
     verify_witness,
     witness_candidates,
 )
-from paritygraph.transforms import is_even_splitting_of, subdivide_edge_twice
+from paritygraph.transforms import (
+    SPLITTING_VERTEX_LIMIT,
+    is_even_splitting_of,
+    subdivide_edge_twice,
+)
 
-from conftest import grid, k23, k4, square, triple_edge, wheel
+from conftest import grid, k23, k4, square, subdivided, triple_edge, wheel
 
 
 def test_k23_all_odd_witness_is_direct_o1():
@@ -137,23 +141,16 @@ def test_budget_is_enforced():
         witness_candidates.__wrapped__(k4(), 3, 100_000)
 
 
+def theta(a, b, c) -> Multigraph:
+    return subdivided([(1, 2)] * 3, (a, b, c))
+
+
+K23_PAIRS = [(e.u, e.v) for e in k23().edges]
+
+
 def test_theta_parity_patterns_match_splitting_detector():
     # a theta graph is a splitting of O1 iff all three path lengths are
     # even, and of E1 iff all three are odd
-    def theta(a, b, c):
-        pairs = []
-        nxt = 3
-
-        def path(length):
-            nonlocal nxt
-            seq = [1] + [nxt + i for i in range(length - 1)] + [2]
-            nxt += length - 1
-            return list(zip(seq, seq[1:]))
-
-        for L in (a, b, c):
-            pairs.extend(path(L))
-        return Multigraph.from_pairs(pairs)
-
     for a, b, c in itertools.combinations_with_replacement(range(1, 7), 3):
         if a == 1 and b == 1 and c == 1:
             g = triple_edge()
@@ -161,13 +158,34 @@ def test_theta_parity_patterns_match_splitting_detector():
             g = theta(a, b, c)
         all_even = a % 2 == 0 and b % 2 == 0 and c % 2 == 0
         all_odd = a % 2 == 1 and b % 2 == 1 and c % 2 == 1
-        limit = 2 + a + b + c
-        assert (
-            is_even_splitting_of(g, base_graph("O1"), vertex_limit=limit) is not None
-        ) == all_even, (a, b, c)
-        assert (
-            is_even_splitting_of(g, base_graph("E1"), vertex_limit=limit) is not None
-        ) == all_odd, (a, b, c)
+        for name, expected in (("O1", all_even), ("E1", all_odd)):
+            if g.n_vertices > SPLITTING_VERTEX_LIMIT:
+                with pytest.raises(CapabilityError):
+                    is_even_splitting_of(g, base_graph(name))
+            else:
+                found = is_even_splitting_of(g, base_graph(name)) is not None
+                assert found == expected, (name, a, b, c)
+
+
+def test_splitting_vertex_limit_holds_in_both_scanners():
+    # K_{2,3} with one edge made an 11-edge path: 15 vertices, one over
+    # the limit, and an even subdivision of O1
+    big = subdivided(K23_PAIRS, (11, 1, 1, 1, 1, 1))
+    assert big.n_vertices == SPLITTING_VERTEX_LIMIT + 1
+    for scan in (lambda g: find_witness(g, ParityAssignment.all_odd()), scan_all_odd):
+        with pytest.raises(CapabilityError, match="splitting search"):
+            scan(big)
+    # at and just under the limit both scanners still find the witness
+    at_limit = theta(5, 5, 5)
+    assert at_limit.n_vertices == SPLITTING_VERTEX_LIMIT
+    for w in (find_witness(at_limit, ParityAssignment.all_even()), scan_all_even(at_limit)):
+        assert w is not None and w.base_name == "E1"
+        assert verify_witness(at_limit, ParityAssignment.all_even(), w)
+    under = subdivided(K23_PAIRS, (9, 1, 1, 1, 1, 1))
+    assert under.n_vertices == 13
+    for w in (find_witness(under, ParityAssignment.all_odd()), scan_all_odd(under)):
+        assert w is not None and w.base_name == "O1"
+        assert verify_witness(under, ParityAssignment.all_odd(), w)
 
 
 def _random_vertex_splitting(g, rng):

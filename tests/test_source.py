@@ -1,6 +1,8 @@
 """Checks over the package's source text."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import paritygraph
@@ -14,3 +16,30 @@ def test_no_runtime_assert_in_package():
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _library_table_rows():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for line in readme.read_text().splitlines():
+        m = re.match(r"\| `(\w+)` +\| (.*) \|$", line)
+        if m:
+            yield m.group(1), m.group(2)
+
+
+def test_readme_library_table_names_resolve():
+    rows = list(_library_table_rows())
+    assert len(rows) >= 10
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(f"paritygraph.{module_name}")
+        for token in re.findall(r"`([^`]+)`", contents):
+            name = re.match(r"\w+", token).group(0)
+            if not hasattr(module, name):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
+
+
+def test_package_all_names_import():
+    namespace: dict = {}
+    exec("from paritygraph import *", namespace)
+    assert [n for n in paritygraph.__all__ if n not in namespace] == []

@@ -11,7 +11,8 @@ from paritygraph import (
     even_circuits,
     isomorphic,
 )
-from paritygraph.catalog import base_graph
+from paritygraph.catalog import WITNESS_BASES, base_graph
+from paritygraph.corpus import connected_multigraphs
 from paritygraph.errors import InputError
 from paritygraph.graphs import Orientation
 
@@ -25,10 +26,22 @@ from paritygraph.transforms import (
     is_even_splitting_of,
     lift_even_circuit,
     lift_through_trace,
+    splitting_traces,
     subdivide_edge_twice,
 )
+from paritygraph.scanner import _edge_subsets
 
-from conftest import k23, k4, square
+from conftest import (
+    even_splittings,
+    grid,
+    k23,
+    k33,
+    k4,
+    splitting_by_bfs,
+    splitting_by_dfs,
+    square,
+    wheel,
+)
 
 
 def test_contract_degree2_in_square_gives_digon():
@@ -154,6 +167,42 @@ def test_theta113_is_splitting_of_triple_edge():
     theta = Multigraph.from_pairs([(1, 2), (1, 2), (1, 3), (3, 4), (4, 2)])
     trace = is_even_splitting_of(theta, base_graph("E1"))
     assert trace is not None and len(trace.steps) == 1
+
+
+def test_splitting_traces_match_the_dfs_and_bfs_oracles():
+    # both old searches return the lexicographically least step sequence
+    bases = [base_graph(name) for name in WITNESS_BASES]
+    graphs = [g for g in connected_multigraphs(5, 8)[::3] if not any(e.is_loop for e in g.edges)]
+    graphs += [wheel(6), wheel(7), k33(), grid(3, 3)]
+    inputs = [g.subgraph(subset) for g in graphs for _, subset in _edge_subsets(g, 1, 1 << 20)]
+    # splittings at degree-4 vertices give states that share an invariant
+    # without being isomorphic, so the dedup must test isomorphism
+    inputs += [h for b in bases for h in even_splittings(b)]
+    calls = traces = 0
+    for h in inputs:
+        by_bfs = splitting_by_bfs(h, WITNESS_BASES)
+        for name, base, t in zip(WITNESS_BASES, bases, splitting_traces(h, bases)):
+            expected = splitting_by_dfs(h, base)
+            got = None if t is None else (t.steps, t.to_graph)
+            assert got == (None if expected is None else (expected.steps, expected.to_graph))
+            assert t == by_bfs.get(name), (name, [(e.id, e.u, e.v) for e in h.edges])
+            calls += 1
+            traces += t is not None
+    assert (calls, traces) == (56376, 1035)
+
+
+def test_one_search_for_all_bases_equals_one_search_per_base():
+    # sharing one exploration and stopping once every base is found must
+    # not change any base's trace
+    bases = [base_graph(name) for name in WITNESS_BASES]
+    graphs = [g for g in connected_multigraphs(5, 8)[::7] if not any(e.is_loop for e in g.edges)]
+    for name, b in zip(WITNESS_BASES, bases):
+        for eid in sorted(b.edge_id_set):
+            h = subdivide_edge_twice(b, eid)
+            assert is_even_splitting_of(h, b) is not None, (name, eid)
+            graphs.append(h)
+    for h in graphs:
+        assert splitting_traces(h, bases) == [is_even_splitting_of(h, b) for b in bases]
 
 
 def test_lift_through_subdivision():
