@@ -226,11 +226,8 @@ def validate(g: Multigraph, d: ArcDecomposition, cap: int = DEFAULT_CIRCUIT_CAP)
             return f"adjunction {i} arcs do not cover the new edges"
         if len(arcs) == 2:
             two_arc_stages.append(i)
-        sub_evens = [c2 for c2 in even_circuits(g, cap) if c2.edge_set <= cur]
-        for c2 in sub_evens:
-            hit = c2.edge_set & diff
-            if hit and hit != diff:
-                return f"stage {i}: an even circuit meets but does not contain the new edges"
+        if not _containment_ok(diff, cur, even_circuits(g, cap)):
+            return f"stage {i}: an even circuit meets but does not contain the new edges"
         sub = g.subgraph(cur)
         if not is_even_circuit_connected(sub, cap):
             return f"stage {i} is not even-circuit-connected"

@@ -23,6 +23,7 @@ from .errors import FixtureError
 from .gf2 import left_nullspace_basis
 from .graphs import Multigraph, is_bipartite, isomorphic
 from .solver import IntractableCertificate, ParityAssignment, circuit_matrix, decide
+from .transforms import subdivide_edge
 
 CATALOG_NAMES = (
     "O1", "O2", "E1", "E2", "E3",
@@ -85,14 +86,8 @@ def _k23() -> Multigraph:
 def _subdivide_once(g: Multigraph, edge_ids: list[int]) -> Multigraph:
     """``g`` with each listed edge replaced by a 2-edge path through a
     fresh vertex, in list order."""
-    fresh_v = max(g.vertex_ids) + 1
     for eid in edge_ids:
-        e = g.by_id[eid]
-        m = max(x.id for x in g.edges)
-        edges = [(x.id, x.u, x.v) for x in g.edges if x.id != eid]
-        edges += [(m + 1, e.u, fresh_v), (m + 2, fresh_v, e.v)]
-        g = Multigraph.build(list(g.vertex_ids) + [fresh_v], edges)
-        fresh_v += 1
+        g = subdivide_edge(g, eid, 2)
     return g
 
 

@@ -2,18 +2,23 @@
 
 A witness is a connected subgraph that, optionally after contracting one
 odd circuit inside it, is an even splitting of a catalog base whose
-parity rule the assignment triggers.  The scan enumerates connected edge
-subsets in ascending size, so the first witness found is edge-minimal
-among those the search accepts; everything downstream of the subset
-enumeration is independent of the assignment, which lets one scan serve
-many assignments cheaply.
+parity rule the assignment triggers.  Every scan reads one lazy candidate
+stream, which enumerates connected edge subsets in ascending size, and
+returns the first candidate whose rule the assignment triggers, so the
+witness is edge-minimal among those the search accepts.  ``find_witness``
+matches all nine bases by the splitting search, and its candidates do not
+depend on the assignment, so one cached scan serves many assignments.
+``scan_all_odd`` and ``scan_all_even`` need only O1, E1 and E3, of
+maximum degree three, whose even splittings are even subdivisions: they
+match by the chain walk ``subdivision_trace``, with no search and no
+vertex limit, and every candidate they meet triggers its rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .catalog import EVEN_CIRCUIT_COUNT, PARITY_RULE, WITNESS_BASES, base_graph
 from .circuits import (
@@ -24,16 +29,16 @@ from .circuits import (
     enumerate_circuits,
     even_circuits,
 )
-from .errors import ContractError, ResourceLimitError
+from .errors import ResourceLimitError
 from .gf2 import bits_to_indices, indices_to_bits
 from .graphs import Multigraph, find_isomorphism
 from .solver import ParityAssignment, is_intractable_set
 from .transforms import (
     OddCircuitContraction,
     SplittingTrace,
-    is_even_splitting_of,
-    lift_even_circuit,
+    lift_through_trace,
     splitting_traces,
+    subdivision_trace,
 )
 
 DEFAULT_SCAN_BUDGET = 200_000
@@ -59,25 +64,21 @@ class _Candidate:
     lifted: tuple[Circuit, ...]  # even circuits of the scanned graph
 
 
-def _lift_base_circuits(
+def _candidate(
     g: Multigraph,
     subset: frozenset[int],
+    base_name: str,
     odd_circuit: Optional[frozenset[int]],
     trace: SplittingTrace,
-) -> tuple[Circuit, ...]:
-    """Lift the matched base's even circuits back to circuits of ``g``."""
-    states = trace.replay_states()
-    lifted = list(even_circuits(states[-1]))
-    for i in range(len(trace.steps) - 1, -1, -1):
-        lifted = [lift_even_circuit(c, states[i], trace.steps[i]) for c in lifted]
+) -> _Candidate:
+    """A match, with the base's even circuits lifted back to ``g``."""
+    full = trace
     if odd_circuit is not None:
-        sub = g.subgraph(subset)
         step = OddCircuitContraction(tuple(sorted(odd_circuit)))
-        lifted = [lift_even_circuit(c, sub, step) for c in lifted]
-    # re-anchor on the full graph so senses are canonical there
-    out = [circuit_from_edges(g, c.edge_set) for c in lifted]
-    out.sort(key=lambda c: (len(c), c.edge_ids))
-    return tuple(out)
+        full = SplittingTrace(g.subgraph(subset), trace.to_graph, (step,) + trace.steps)
+    lifted = lift_through_trace(even_circuits(trace.to_graph), full)
+    lifted.sort(key=lambda c: (len(c), c.edge_ids))
+    return _Candidate(subset, base_name, odd_circuit, trace, tuple(lifted))
 
 
 def _edge_subsets(
@@ -178,6 +179,37 @@ def _has_loop(g: Multigraph, subset: frozenset[int]) -> bool:
     return any(g.by_id[eid].is_loop for eid in subset)
 
 
+_Matcher = Callable[[Multigraph], list[tuple[str, SplittingTrace]]]
+
+
+def _candidates(
+    g: Multigraph, bases: tuple[str, ...], budget: int, cap: int, matches: _Matcher
+) -> Iterator[_Candidate]:
+    """Each (subset, base, optional odd contraction) match in the graph,
+    lazily: subsets in (size, mask) order; per subset, its direct matches
+    in base order or, when there are none, its matches after each odd
+    circuit contraction.  ``matches(h)`` gives (base name, trace from h)
+    for each of ``bases`` that ``h`` matches."""
+    even_masks, odd = _circuit_masks(g, cap)
+    min_edges = min(base_graph(name).n_edges for name in bases)
+    min_count = min(EVEN_CIRCUIT_COUNT[name] for name in bases)
+    for mask, subset in _edge_subsets(g, min_edges, budget):
+        n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
+        direct: list[tuple[str, SplittingTrace]] = []
+        if n_even_inside >= min_count and not _has_loop(g, subset):
+            direct = matches(g.subgraph(subset))
+        if direct:
+            yield from (_candidate(g, subset, name, None, t) for name, t in direct)
+            continue
+        for oset, contracted in _odd_contractions(g, subset, mask, odd, min_edges):
+            yield from (_candidate(g, subset, name, oset, t) for name, t in matches(contracted))
+
+
+def _split_matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
+    traces = splitting_traces(h, [base_graph(name) for name in WITNESS_BASES])
+    return [(name, t) for name, t in zip(WITNESS_BASES, traces) if t is not None]
+
+
 @lru_cache(maxsize=64)
 def witness_candidates(
     g: Multigraph,
@@ -189,46 +221,21 @@ def witness_candidates(
     Assignment-independent: pairing these with a parity rule is all a scan
     per assignment has to do.
     """
-    even_masks, odd = _circuit_masks(g, cap)
-    bases = [base_graph(name) for name in WITNESS_BASES]
-    min_base_edges = min(b.n_edges for b in bases)
-    min_count = min(EVEN_CIRCUIT_COUNT[n] for n in WITNESS_BASES)
-
-    def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
-        traces = splitting_traces(h, bases)
-        return [(n, t) for n, t in zip(WITNESS_BASES, traces) if t is not None]
-
-    candidates: list[_Candidate] = []
-    for mask, subset in _edge_subsets(g, min(3, min_base_edges), budget):
-        n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
-        direct: list[tuple[str, SplittingTrace]] = []
-        if n_even_inside >= min_count and not _has_loop(g, subset):
-            direct = matches(g.subgraph(subset))
-            for name, trace in direct:
-                lifted = _lift_base_circuits(g, subset, None, trace)
-                candidates.append(_Candidate(subset, name, None, trace, lifted))
-        if direct:
-            continue
-        for oset, contracted in _odd_contractions(g, subset, mask, odd, min_base_edges):
-            for name, trace in matches(contracted):
-                lifted = _lift_base_circuits(g, subset, oset, trace)
-                candidates.append(_Candidate(subset, name, oset, trace, lifted))
-    return tuple(candidates)
+    return tuple(_candidates(g, WITNESS_BASES, budget, cap, _split_matches))
 
 
-def _rule_triggered(base_name: str, lifted, j: ParityAssignment) -> bool:
-    prescribed_even = sum(1 for c in lifted if j.parity_for(c) == Parity.EVEN) % 2
-    return Parity(prescribed_even) == PARITY_RULE[base_name]
-
-
-def _witness_from(cand: _Candidate, j: ParityAssignment) -> ForbiddenWitness:
-    parities = tuple(
-        (c.edge_set, j.parity_for(c))
-        for c in cand.lifted
-    )
-    return ForbiddenWitness(
-        cand.base_name, cand.subset, cand.odd_circuit, cand.trace, parities
-    )
+def _first_triggered(
+    candidates: Iterable[_Candidate], j: ParityAssignment
+) -> Optional[ForbiddenWitness]:
+    """The witness from the first candidate whose parity rule ``j`` triggers."""
+    for cand in candidates:
+        prescribed_even = sum(1 for c in cand.lifted if j.parity_for(c) == Parity.EVEN) % 2
+        if Parity(prescribed_even) == PARITY_RULE[cand.base_name]:
+            parities = tuple((c.edge_set, j.parity_for(c)) for c in cand.lifted)
+            return ForbiddenWitness(
+                cand.base_name, cand.subset, cand.odd_circuit, cand.trace, parities
+            )
+    return None
 
 
 def find_witness(
@@ -238,55 +245,10 @@ def find_witness(
     cap: int = DEFAULT_CIRCUIT_CAP,
 ) -> Optional[ForbiddenWitness]:
     """The first catalog witness whose parity rule ``j`` triggers, if any."""
-    for cand in witness_candidates(g, budget, cap):
-        if _rule_triggered(cand.base_name, cand.lifted, j):
-            return _witness_from(cand, j)
-    return None
+    return _first_triggered(witness_candidates(g, budget, cap), j)
 
 
 # -- specialised all-odd / all-even scans ------------------------------
-
-
-def _reduced_parity_form(g: Multigraph) -> Optional[Multigraph]:
-    """Suppress degree-2 chains, keeping each chain's length parity.
-
-    Odd chains become single edges, even chains become 2-edge paths, so a
-    graph is an even subdivision of a catalog base iff its reduced form is
-    isomorphic to that base.  Returns None when there is no branch vertex.
-    """
-    branch = [v for v in g.vertex_ids if g.degree(v) != 2]
-    if not branch or any(e.is_loop for e in g.edges):
-        return None
-    branch_set = set(branch)
-    chains = []  # (endpoint a, endpoint b, length)
-    used: set[int] = set()
-    for v in branch:
-        for e in g.incidence[v]:
-            if e.id in used:
-                continue
-            used.add(e.id)
-            length = 1
-            cur = e.other(v)
-            while cur not in branch_set:
-                nxt = [f for f in g.incidence[cur] if f.id not in used]
-                if len(nxt) != 1:
-                    return None
-                used.add(nxt[0].id)
-                cur = nxt[0].other(cur)
-                length += 1
-            chains.append((v, cur, length))
-    if len(used) != g.n_edges:
-        return None  # leftover all-degree-2 component
-    pairs: list[tuple[int, int]] = []
-    fresh = max(g.vertex_ids) + 1
-    for a, b, length in chains:
-        if length % 2:
-            pairs.append((a, b))
-        else:
-            pairs.append((a, fresh))
-            pairs.append((fresh, b))
-            fresh += 1
-    return Multigraph.from_pairs(pairs, vertices=branch)
 
 
 def _subdivision_scan(
@@ -296,39 +258,19 @@ def _subdivision_scan(
     budget: int,
     cap: int,
 ) -> Optional[ForbiddenWitness]:
-    """Ascending-size search for even subdivisions of the given bases,
-    directly or after contracting one odd circuit inside the subgraph."""
-    _, odd = _circuit_masks(g, cap)
-    min_base = min(base_graph(b).n_edges for b in bases)
+    """Ascending-size search for even subdivisions of bases of maximum
+    degree three, directly or after contracting one odd circuit inside the
+    subgraph.  A subgraph matches when its ``subdivision_trace`` ends in a
+    graph isomorphic to a base; no splitting search is run."""
 
-    def match(
-        h: Multigraph, subset: frozenset[int], oset: Optional[frozenset[int]]
-    ) -> Optional[ForbiddenWitness]:
-        reduced = _reduced_parity_form(h)
-        if reduced is None:
-            return None
-        for name in bases:
-            if find_isomorphism(reduced, base_graph(name)):
-                trace = is_even_splitting_of(h, base_graph(name))
-                if trace is None:
-                    raise ContractError(
-                        f"reduced form matches {name} but no even splitting was found"
-                    )
-                lifted = _lift_base_circuits(g, subset, oset, trace)
-                if _rule_triggered(name, lifted, j):
-                    return _witness_from(_Candidate(subset, name, oset, trace, lifted), j)
-        return None
+    def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
+        trace = subdivision_trace(h)
+        return [
+            (name, trace) for name in bases
+            if find_isomorphism(trace.to_graph, base_graph(name)) is not None
+        ]
 
-    for mask, subset in _edge_subsets(g, min_base, budget):
-        if not _has_loop(g, subset):
-            w = match(g.subgraph(subset), subset, None)
-            if w is not None:
-                return w
-        for oset, contracted in _odd_contractions(g, subset, mask, odd, min_base):
-            w = match(contracted, subset, oset)
-            if w is not None:
-                return w
-    return None
+    return _first_triggered(_candidates(g, bases, budget, cap, matches), j)
 
 
 def scan_all_odd(

@@ -1,5 +1,5 @@
-"""Even vertex splitting machinery: degree-2 contractions, double
-subdivisions, splitting detection, circuit lifting, induced assignments.
+"""Even vertex splitting machinery: degree-2 contractions, edge
+subdivision, splitting detection, circuit lifting, induced assignments.
 
 Contracting the two edges at a degree-2 vertex is the inverse of an even
 vertex splitting.  ``splitting_traces`` is the one search for chains of
@@ -8,9 +8,11 @@ each base gets its lexicographically least trace.  It merges a state into
 an earlier one with the same ``_graph_invariant`` that is isomorphic to
 it (equal, above ISO_VERTEX_LIMIT vertices), and refuses inputs over
 SPLITTING_VERTEX_LIMIT vertices with CapabilityError before any work.
-Even circuits lift uniquely backwards through both this contraction and
-the contraction of an odd circuit, which is what makes parity
-assignments transportable.
+``subdivision_trace`` needs no search: it walks the degree-2 chains down
+to one or two edges each, and for a base of maximum degree three gives
+the search's trace.  Even circuits lift uniquely backwards through both
+this contraction and the contraction of an odd circuit, which is what
+makes parity assignments transportable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .circuits import (
     even_circuits,
 )
 from .errors import CapabilityError, InputError
-from .graphs import ISO_VERTEX_LIMIT, ContractionMap, Multigraph, find_isomorphism
+from .graphs import ISO_VERTEX_LIMIT, ContractionMap, Multigraph, _pair_multiplicities, find_isomorphism
 from .solver import ParityAssignment
 
 SPLITTING_VERTEX_LIMIT = 14
@@ -102,33 +104,29 @@ def contract_odd_circuit(
     return g.contract_edges(edge_ids)
 
 
-def subdivide_edge_twice(g: Multigraph, eid: int) -> Multigraph:
-    """Replace one edge by a three-edge path through two new vertices."""
+def subdivide_edge(g: Multigraph, eid: int, length: int) -> Multigraph:
+    """Replace one edge by a path of ``length`` edges through fresh
+    vertices; new vertex and edge ids count on from the largest ones."""
     if eid not in g.edge_id_set:
         raise InputError(f"unknown edge id {eid}")
+    if length < 1:
+        raise InputError(f"a path needs at least one edge, not {length}")
     e = g.by_id[eid]
-    a = max(g.vertex_ids) + 1
-    b = a + 1
+    fresh = max(g.vertex_ids) + 1
     m = max(x.id for x in g.edges)
+    path = [e.u, *range(fresh, fresh + length - 1), e.v]
     edges = [(x.id, x.u, x.v) for x in g.edges if x.id != eid]
-    edges += [(m + 1, e.u, a), (m + 2, a, b), (m + 3, b, e.v)]
-    return Multigraph.build(list(g.vertex_ids) + [a, b], edges)
+    edges += [(m + 1 + i, a, b) for i, (a, b) in enumerate(zip(path, path[1:]))]
+    return Multigraph.build(list(g.vertex_ids) + path[1:-1], edges)
 
 
 def _graph_invariant(g: Multigraph) -> tuple:
-    mult: dict[tuple[int, int], int] = {}
-    loops = 0
-    for e in g.edges:
-        if e.is_loop:
-            loops += 1
-        key = (e.u, e.v)
-        mult[key] = mult.get(key, 0) + 1
-    degrees = tuple(sorted(g.degree(v) for v in g.vertex_ids))
+    mult = _pair_multiplicities(g)
     return (
         g.n_vertices,
         g.n_edges,
-        loops,
-        degrees,
+        sum(m for (u, v), m in mult.items() if u == v),
+        tuple(sorted(g.degree(v) for v in g.vertex_ids)),
         tuple(sorted(mult.values())),
     )
 
@@ -203,10 +201,36 @@ def is_even_splitting_of(h: Multigraph, b: Multigraph) -> Optional[SplittingTrac
     return splitting_traces(h, [b])[0]
 
 
+def subdivision_trace(h: Multigraph) -> SplittingTrace:
+    """Shorten every chain of degree-2 vertices by two edges at a time
+    until it has one or two, by contracting the smallest vertex of
+    ``degree2_options`` that has a degree-2 neighbour, while one exists.
+
+    ``to_graph`` keeps each chain's length parity, so ``h`` is an even
+    subdivision of a base iff ``to_graph`` is isomorphic to it.  For a
+    base of maximum degree three, where every even splitting is an even
+    subdivision, this is the trace ``is_even_splitting_of`` finds, built
+    with no search and no vertex limit.
+    """
+    g, steps = h, []
+    while True:
+        inner = [v for v in degree2_options(g)
+                 if any(g.degree(e.other(v)) == 2 for e in g.incidence[v])]
+        if not inner:
+            return SplittingTrace(h, g, tuple(steps))
+        v = inner[0]
+        inc = g.incidence[v]
+        steps.append(Degree2Contraction(v, (inc[0].id, inc[1].id)))
+        g, _ = contract_degree2_pair(g, v)
+
+
 def lift_even_circuit(c: Circuit, g_before: Multigraph, step: Step) -> Circuit:
     """The unique even circuit of ``g_before`` whose intersection with the
     contracted graph's edges is ``c``."""
-    g_after = apply_step(g_before, step)
+    return _lift(c, g_before, apply_step(g_before, step), step)
+
+
+def _lift(c: Circuit, g_before: Multigraph, g_after: Multigraph, step: Step) -> Circuit:
     if not c.edge_set <= g_after.edge_id_set:
         raise InputError("circuit does not live in the contracted graph")
     check = circuit_from_edges(g_after, c.edge_set)
@@ -277,13 +301,14 @@ def _even_path_on_circuit(g: Multigraph, ring: Circuit, p: int, q: int) -> froze
     return side1 if len(side1) % 2 == 0 else side2
 
 
-def lift_through_trace(c: Circuit, trace: SplittingTrace) -> Circuit:
-    """Lift an even circuit of trace.to_graph all the way to trace.from_graph."""
+def lift_through_trace(circuits: Sequence[Circuit], trace: SplittingTrace) -> list[Circuit]:
+    """Lift even circuits of trace.to_graph all the way to trace.from_graph,
+    replaying the trace once."""
     states = trace.replay_states()
-    cur = c
+    lifted = list(circuits)
     for i in range(len(trace.steps) - 1, -1, -1):
-        cur = lift_even_circuit(cur, states[i], trace.steps[i])
-    return cur
+        lifted = [_lift(c, states[i], states[i + 1], trace.steps[i]) for c in lifted]
+    return lifted
 
 
 def induce_assignment(

@@ -336,6 +336,49 @@ def splitting_by_bfs(h: Multigraph, bases) -> dict:
     return found
 
 
+def reduced_parity_form(g: Multigraph):
+    """The scanner's subdivision matcher before ``subdivision_trace``:
+    suppress degree-2 chains, keeping each chain's length parity.
+
+    Odd chains become single edges, even chains become 2-edge paths, so a
+    graph is an even subdivision of a catalog base iff its reduced form is
+    isomorphic to that base.  Returns None when there is no branch vertex.
+    """
+    branch = [v for v in g.vertex_ids if g.degree(v) != 2]
+    if not branch or any(e.is_loop for e in g.edges):
+        return None
+    branch_set = set(branch)
+    chains = []  # (endpoint a, endpoint b, length)
+    used: set[int] = set()
+    for v in branch:
+        for e in g.incidence[v]:
+            if e.id in used:
+                continue
+            used.add(e.id)
+            length = 1
+            cur = e.other(v)
+            while cur not in branch_set:
+                nxt = [f for f in g.incidence[cur] if f.id not in used]
+                if len(nxt) != 1:
+                    return None
+                used.add(nxt[0].id)
+                cur = nxt[0].other(cur)
+                length += 1
+            chains.append((v, cur, length))
+    if len(used) != g.n_edges:
+        return None  # leftover all-degree-2 component
+    pairs: list[tuple[int, int]] = []
+    fresh = max(g.vertex_ids) + 1
+    for a, b, length in chains:
+        if length % 2:
+            pairs.append((a, b))
+        else:
+            pairs.append((a, fresh))
+            pairs.append((fresh, b))
+            fresh += 1
+    return Multigraph.from_pairs(pairs, vertices=branch)
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     from paritygraph.corpus import connected_multigraphs

@@ -44,13 +44,13 @@ from paritygraph.pfaffian import (
     kasteleyn_count,
 )
 from paritygraph.scanner import (
-    _reduced_parity_form,
     find_witness,
     scan_all_even,
     scan_all_odd,
     verify_witness,
 )
 from paritygraph.solver import certificate_is_valid
+from paritygraph.transforms import subdivision_trace
 
 SEED = 20250810
 _PARITY8 = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=np.uint8)
@@ -213,8 +213,7 @@ def test_criterion_6_arc_decomposition(corpus, random_corpus):
             nonbip_count += 1
             assert two_arc_stages == [1]
             g1 = g.subgraph(d.stages[1])
-            reduced = _reduced_parity_form(g1)
-            assert reduced is not None
+            reduced = subdivision_trace(g1).to_graph
             assert any(
                 find_isomorphism(reduced, base_graph(name)) is not None
                 for name in ADJUNCTION_BASES

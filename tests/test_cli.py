@@ -95,14 +95,29 @@ def test_scan_explicit_assignment(files, capsys):
     assert code == 0 and out.startswith("WITNESS O1\n")
 
 
+BIG_ALL_ODD_WITNESS = """\
+WITNESS O1
+w-edges 16 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+w-step contract-degree2 3 11 14
+w-step contract-degree2 6 1 2
+w-step contract-degree2 8 3 4
+w-step contract-degree2 10 5 6
+w-step contract-degree2 12 7 8
+w-circuit odd 4 12 13 15 16
+w-circuit odd 14 1 2 3 4 5 6 7 8 9 10 11 12 14 15
+w-circuit odd 14 1 2 3 4 5 6 7 8 9 10 11 13 14 16
+"""
+
+
 def test_scan_over_the_splitting_limit_exits_2(files, capsys):
-    # K_{2,3} with one edge made an 11-edge path: 15 vertices
+    # K_{2,3} with one edge made an 11-edge path: 15 vertices.  The all-odd
+    # scan walks its chains; an assignment file runs the splitting search.
     big = subdivided([(e.u, e.v) for e in k23().edges], (11, 1, 1, 1, 1, 1))
     g = files("big.graph", emit_graph(big))
-    for how in (["--all-odd"], [files("odd.j", "j-all odd\n")]):
-        code, out, err = run(capsys, "scan", g, *how)
-        assert code == 2 and out == ""
-        assert err == "error: splitting search supported up to 14 vertices\n"
+    assert run(capsys, "scan", g, "--all-odd") == (0, BIG_ALL_ODD_WITNESS, "")
+    code, out, err = run(capsys, "scan", g, files("odd.j", "j-all odd\n"))
+    assert code == 2 and out == ""
+    assert err == "error: splitting search supported up to 14 vertices\n"
 
 
 def test_decompose_k23(files, capsys):

@@ -25,7 +25,7 @@ from paritygraph.scanner import (
 from paritygraph.transforms import (
     SPLITTING_VERTEX_LIMIT,
     is_even_splitting_of,
-    subdivide_edge_twice,
+    subdivide_edge,
 )
 
 from conftest import grid, k23, k4, square, subdivided, triple_edge, wheel
@@ -94,7 +94,7 @@ def test_delta_fixtures_produce_delta_witnesses():
 
 
 def test_splitting_of_d4_is_caught():
-    g = subdivide_edge_twice(base_graph("D4"), 1)
+    g = subdivide_edge(base_graph("D4"), 1, 3)
     evens = even_circuits(g)
     j = ParityAssignment.from_map(
         {c.edge_set: (Parity.EVEN if i == 0 else Parity.ODD) for i, c in enumerate(evens)}
@@ -167,25 +167,31 @@ def test_theta_parity_patterns_match_splitting_detector():
                 assert found == expected, (name, a, b, c)
 
 
-def test_splitting_vertex_limit_holds_in_both_scanners():
+def test_splitting_vertex_limit_binds_only_the_splitting_search():
     # K_{2,3} with one edge made an 11-edge path: 15 vertices, one over
-    # the limit, and an even subdivision of O1
+    # the limit, and an even subdivision of O1.  The general scan runs the
+    # splitting search and refuses it; the all-odd scan walks its chains.
     big = subdivided(K23_PAIRS, (11, 1, 1, 1, 1, 1))
     assert big.n_vertices == SPLITTING_VERTEX_LIMIT + 1
-    for scan in (lambda g: find_witness(g, ParityAssignment.all_odd()), scan_all_odd):
-        with pytest.raises(CapabilityError, match="splitting search"):
-            scan(big)
-    # at and just under the limit both scanners still find the witness
+    with pytest.raises(CapabilityError, match="splitting search"):
+        find_witness(big, ParityAssignment.all_odd())
+    w = scan_all_odd(big)
+    assert w is not None and w.base_name == "O1" and w.odd_circuit_contracted is None
+    assert w.subgraph_edges == big.edge_id_set and len(w.splitting_trace.steps) == 5
+    assert verify_witness(big, ParityAssignment.all_odd(), w)
+    # at and just under the limit both scanners find the same witness
     at_limit = theta(5, 5, 5)
     assert at_limit.n_vertices == SPLITTING_VERTEX_LIMIT
-    for w in (find_witness(at_limit, ParityAssignment.all_even()), scan_all_even(at_limit)):
-        assert w is not None and w.base_name == "E1"
-        assert verify_witness(at_limit, ParityAssignment.all_even(), w)
+    w = scan_all_even(at_limit)
+    assert w == find_witness(at_limit, ParityAssignment.all_even())
+    assert w is not None and w.base_name == "E1"
+    assert verify_witness(at_limit, ParityAssignment.all_even(), w)
     under = subdivided(K23_PAIRS, (9, 1, 1, 1, 1, 1))
     assert under.n_vertices == 13
-    for w in (find_witness(under, ParityAssignment.all_odd()), scan_all_odd(under)):
-        assert w is not None and w.base_name == "O1"
-        assert verify_witness(under, ParityAssignment.all_odd(), w)
+    w = scan_all_odd(under)
+    assert w == find_witness(under, ParityAssignment.all_odd())
+    assert w is not None and w.base_name == "O1"
+    assert verify_witness(under, ParityAssignment.all_odd(), w)
 
 
 def _random_vertex_splitting(g, rng):

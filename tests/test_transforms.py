@@ -8,13 +8,14 @@ from paritygraph import (
     ParityAssignment,
     circuit_from_edges,
     decide,
+    enumerate_circuits,
     even_circuits,
     isomorphic,
 )
 from paritygraph.catalog import WITNESS_BASES, base_graph
 from paritygraph.corpus import connected_multigraphs
 from paritygraph.errors import InputError
-from paritygraph.graphs import Orientation
+from paritygraph.graphs import Orientation, find_isomorphism
 
 from paritygraph.transforms import (
     Degree2Contraction,
@@ -27,19 +28,24 @@ from paritygraph.transforms import (
     lift_even_circuit,
     lift_through_trace,
     splitting_traces,
-    subdivide_edge_twice,
+    subdivide_edge,
+    subdivision_trace,
 )
 from paritygraph.scanner import _edge_subsets
 
 from conftest import (
+    cube,
     even_splittings,
     grid,
     k23,
     k33,
     k4,
+    reduced_parity_form,
+    relabelled,
     splitting_by_bfs,
     splitting_by_dfs,
     square,
+    subdivided,
     wheel,
 )
 
@@ -85,15 +91,18 @@ def test_o2_double_contraction_creates_multiedge_and_loop():
 
 def test_subdivide_twice_examples():
     digon = Multigraph.from_pairs([(1, 2), (1, 2)])
-    c4 = subdivide_edge_twice(digon, 1)
+    c4 = subdivide_edge(digon, 1, 3)
     assert isomorphic(c4, square())
-    g = subdivide_edge_twice(k23(), 1)
+    g = subdivide_edge(k23(), 1, 3)
     assert g.n_edges == 8 and g.n_vertices == 7
+    assert isomorphic(subdivide_edge(k23(), 1, 1), k23())
+    with pytest.raises(InputError):
+        subdivide_edge(k23(), 1, 0)
 
 
 def test_subdivide_then_contract_is_identity():
     g = k23()
-    h = subdivide_edge_twice(g, 3)
+    h = subdivide_edge(g, 3, 3)
     new_vertices = sorted(set(h.vertex_ids) - set(g.vertex_ids))
     h1, _ = contract_degree2_pair(h, new_vertices[0])
     # after the first contraction the second new vertex disappears too
@@ -108,7 +117,7 @@ def test_subdivision_roundtrips_randomized(small_corpus):
             continue
         for _ in range(2):
             eid = rng.choice(sorted(g.edge_id_set))
-            h = subdivide_edge_twice(g, eid)
+            h = subdivide_edge(g, eid, 3)
             new_vertices = sorted(set(h.vertex_ids) - set(g.vertex_ids))
             back, _ = contract_degree2_pair(h, new_vertices[0])
             assert isomorphic(back, g)
@@ -120,19 +129,17 @@ def test_splitting_equals_subdivision_at_max_degree_three(small_corpus):
     # when no vertex exceeds degree 3, every even splitting is an even
     # subdivision, so the splitting search agrees with the chain-parity
     # reduction for the low-degree bases
-    from paritygraph.scanner import _reduced_parity_form
-
     checked = 0
     for g in small_corpus:
         if g.n_edges < 3 or any(e.is_loop for e in g.edges):
             continue
         if any(g.degree(v) > 3 for v in g.vertex_ids):
             continue
-        reduced = _reduced_parity_form(g)
+        reduced = subdivision_trace(g).to_graph
         for name in ("O1", "E1"):
             base = base_graph(name)
             by_search = is_even_splitting_of(g, base) is not None
-            by_reduction = reduced is not None and isomorphic(reduced, base)
+            by_reduction = isomorphic(reduced, base)
             assert by_search == by_reduction, (name, [(e.id, e.u, e.v) for e in g.edges])
             checked += 1
     assert checked >= 20
@@ -142,12 +149,12 @@ def test_is_even_splitting_identity_and_subdivision():
     g = k23()
     trace = is_even_splitting_of(g, g)
     assert trace is not None and trace.steps == ()
-    h = subdivide_edge_twice(g, 1)
+    h = subdivide_edge(g, 1, 3)
     trace = is_even_splitting_of(h, g)
     # one double subdivision is undone by one degree-2 pair contraction
     assert trace is not None and len(trace.steps) == 1
     assert isomorphic(trace.replay(), g)
-    h2 = subdivide_edge_twice(h, 2)
+    h2 = subdivide_edge(h, 2, 3)
     trace2 = is_even_splitting_of(h2, g)
     assert trace2 is not None and len(trace2.steps) == 2
     assert isomorphic(trace2.replay(), g)
@@ -158,7 +165,7 @@ def test_o2_is_not_a_splitting_of_k23():
 
 
 def test_splitting_respects_edge_parity():
-    g = subdivide_edge_twice(k23(), 1)
+    g = subdivide_edge(k23(), 1, 3)
     h = g.subgraph(g.edge_id_set - {2})  # 7 edges: wrong parity vs 6
     assert is_even_splitting_of(h, k23()) is None
 
@@ -191,6 +198,63 @@ def test_splitting_traces_match_the_dfs_and_bfs_oracles():
     assert (calls, traces) == (56376, 1035)
 
 
+SUBDIVISION_BASES = ("O1", "E1", "E3")
+
+
+def check_subdivision_trace(h):
+    """The chain-walk match per subdivision base equals the reduced-form
+    oracle's, and a matched trace equals the splitting search's.  Returns
+    how many bases matched."""
+    trace = subdivision_trace(h)
+    assert trace.from_graph == h and trace.replay() == trace.to_graph
+    reduced = reduced_parity_form(h)
+    edges = [(e.id, e.u, e.v) for e in h.edges]
+    matched = 0
+    for name in SUBDIVISION_BASES:
+        base = base_graph(name)
+        by_walk = find_isomorphism(trace.to_graph, base) is not None
+        by_oracle = reduced is not None and find_isomorphism(reduced, base) is not None
+        assert by_walk == by_oracle, (name, edges)
+        if by_walk:
+            assert trace == is_even_splitting_of(h, base), (name, edges)
+            matched += 1
+    return matched
+
+
+def test_subdivision_trace_equals_the_oracles_on_scanned_subgraphs():
+    # every subgraph the scanner examines, directly or after contracting
+    # an odd circuit inside it
+    graphs = list(connected_multigraphs(5, 8)[::4]) + [wheel(5), wheel(6), grid(3, 3), cube(3)]
+    inputs = matched = 0
+    for g in graphs:
+        odd = [c.edge_set for c in enumerate_circuits(g) if not c.is_even]
+        for _, subset in _edge_subsets(g, 3, 1 << 20):
+            sub = g.subgraph(subset)
+            for h in [sub] + [sub.contract_edges(o)[0] for o in odd if o <= subset]:
+                matched += check_subdivision_trace(h)
+                inputs += 1
+    assert (inputs, matched) == (57540, 1704)
+
+
+def test_subdivision_trace_equals_the_oracles_on_random_subdivisions():
+    # every edge becomes a path of 1 to 5 edges, up to the splitting
+    # search's vertex limit, under shuffled vertex and edge ids
+    rng = random.Random(12)
+    matched = 0
+    for i in range(240):
+        base = base_graph(SUBDIVISION_BASES[i % 3])
+        pairs = [(e.u, e.v) for e in base.edges]
+        while True:
+            lengths = [rng.randint(1, 5) if i % 2 else rng.choice((1, 3, 5)) for _ in pairs]
+            if base.n_vertices + sum(lengths) - len(lengths) <= 14:
+                break
+        h = subdivided(pairs, lengths)
+        vertex_ids = rng.sample(range(-30, 60), h.n_vertices)
+        edge_ids = rng.sample(range(-30, 60), h.n_edges)
+        matched += check_subdivision_trace(relabelled(h, vertex_ids, edge_ids))
+    assert matched == 144
+
+
 def test_one_search_for_all_bases_equals_one_search_per_base():
     # sharing one exploration and stopping once every base is found must
     # not change any base's trace
@@ -198,7 +262,7 @@ def test_one_search_for_all_bases_equals_one_search_per_base():
     graphs = [g for g in connected_multigraphs(5, 8)[::7] if not any(e.is_loop for e in g.edges)]
     for name, b in zip(WITNESS_BASES, bases):
         for eid in sorted(b.edge_id_set):
-            h = subdivide_edge_twice(b, eid)
+            h = subdivide_edge(b, eid, 3)
             assert is_even_splitting_of(h, b) is not None, (name, eid)
             graphs.append(h)
     for h in graphs:
@@ -207,11 +271,11 @@ def test_one_search_for_all_bases_equals_one_search_per_base():
 
 def test_lift_through_subdivision():
     digon = Multigraph.from_pairs([(1, 2), (1, 2)])
-    c4 = subdivide_edge_twice(digon, 1)
+    c4 = subdivide_edge(digon, 1, 3)
     trace = is_even_splitting_of(c4, digon)
     assert trace is not None
     small = even_circuits(trace.to_graph)[0]
-    lifted = lift_through_trace(small, trace)
+    [lifted] = lift_through_trace([small], trace)
     assert lifted.edge_set == c4.edge_id_set
 
 
