@@ -49,13 +49,6 @@ class Circuit:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.sense)
 
-    def reversed(self) -> "Circuit":
-        verts = [v for v, _ in self.sense]
-        eids = [e for _, e in self.sense]
-        n = len(eids)
-        rev = tuple((verts[(i + 1) % n], eids[i]) for i in range(n - 1, -1, -1))
-        return Circuit(self.edge_ids, rev)
-
 
 def _circuit_from_walk(verts: Sequence[int], eids: Sequence[int]) -> Circuit:
     """The circuit traversed by a closed walk, in its canonical sense.

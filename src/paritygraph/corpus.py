@@ -172,6 +172,4 @@ def random_connected_multigraph(
         if a == b and not loops:
             continue
         pairs.append((min(a, b), max(a, b)))
-    return Multigraph.build(
-        range(1, n + 1), [(i + 1, a + 1, b + 1) for i, (a, b) in enumerate(pairs)]
-    )
+    return _from_key((n, tuple(pairs)))

@@ -11,7 +11,7 @@ reproduces it byte for byte.
     e <edge_id> <u> <v>
 
 Assignment files carry either one ``j-all odd|even`` line or one ``j``
-line per even circuit:
+line per even circuit, each circuit once and each edge id once in it:
 
     j <odd|even> <k> <edge_id_1> ... <edge_id_k>
 """
@@ -78,21 +78,25 @@ def emit_graph(g: Multigraph) -> str:
 
 def parse_assignment(text: str) -> ParityAssignment:
     explicit: dict[frozenset[int], Parity] = {}
+    constant: Optional[ParityAssignment] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if constant is not None:
+            raise InputError(f"line {lineno}: nothing may follow the j-all line")
         parts = line.split()
         if parts[0] == "j-all":
             if len(parts) != 2 or parts[1] not in ("odd", "even"):
                 raise InputError(f"line {lineno}: cannot parse {raw!r}")
             if explicit:
                 raise InputError(f"line {lineno}: j-all cannot follow j lines")
-            return (
+            constant = (
                 ParityAssignment.all_odd()
                 if parts[1] == "odd"
                 else ParityAssignment.all_even()
             )
+            continue
         if parts[0] != "j":
             raise InputError(f"line {lineno}: cannot parse {raw!r}")
         try:
@@ -105,7 +109,14 @@ def parse_assignment(text: str) -> ParityAssignment:
             raise InputError(f"line {lineno}: expected {k} edge ids, got {len(ids)}")
         if k % 2:
             raise InputError(f"line {lineno}: circuit length {k} is odd")
-        explicit[frozenset(ids)] = parity
+        key = frozenset(ids)
+        if len(key) != k:
+            raise InputError(f"line {lineno}: an edge id is repeated")
+        if key in explicit:
+            raise InputError(f"line {lineno}: circuit {sorted(key)} is listed twice")
+        explicit[key] = parity
+    if constant is not None:
+        return constant
     if not explicit:
         raise InputError("assignment file lists no circuits")
     return ParityAssignment.from_map(explicit)

@@ -50,19 +50,6 @@ class Gf2Matrix:
     width: int
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]], width: int) -> "Gf2Matrix":
-        packed = []
-        for r in rows:
-            bits = 0
-            for j, b in enumerate(r):
-                if j >= width:
-                    raise InputError("row longer than declared width")
-                if b & 1:
-                    bits |= 1 << j
-            packed.append(bits)
-        return Gf2Matrix(tuple(packed), width)
-
-    @staticmethod
     def from_bitmasks(masks: Iterable[int], width: int) -> "Gf2Matrix":
         masks = tuple(int(m) for m in masks)
         for m in masks:

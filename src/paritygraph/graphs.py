@@ -115,20 +115,6 @@ class Multigraph:
     def has_isolated_vertices(self) -> bool:
         return any(not self.incidence[v] for v in self.vertex_ids)
 
-    def is_connected(self) -> bool:
-        if not self.vertex_ids:
-            return True
-        seen = {self.vertex_ids[0]}
-        stack = [self.vertex_ids[0]]
-        while stack:
-            w = stack.pop()
-            for e in self.incidence[w]:
-                x = e.other(w)
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return len(seen) == self.n_vertices
-
     # -- subgraph and contraction ---------------------------------------
 
     def subgraph(self, keep: Iterable[int]) -> "Multigraph":

@@ -10,9 +10,15 @@ it (equal, above ISO_VERTEX_LIMIT vertices), and refuses inputs over
 SPLITTING_VERTEX_LIMIT vertices with CapabilityError before any work.
 ``subdivision_trace`` needs no search: it walks the degree-2 chains down
 to one or two edges each, and for a base of maximum degree three gives
-the search's trace.  Even circuits lift uniquely backwards through both
-this contraction and the contraction of an odd circuit, which is what
-makes parity assignments transportable.
+the search's trace.
+
+Even circuits lift uniquely backwards through both this contraction and
+the contraction of an odd circuit, which is what makes parity
+assignments transportable.  One rule covers both: undoing the step
+leaves an even circuit's edges with odd degree at two vertices the step
+merged, or at none, and the lift adds the even path between those two
+inside the contracted edges (the pair at the degree-2 vertex, or the
+even side of the odd circuit).
 """
 
 from __future__ import annotations
@@ -69,6 +75,8 @@ class SplittingTrace:
 def apply_step(g: Multigraph, step: Step) -> Multigraph:
     if isinstance(step, Degree2Contraction):
         h, _ = contract_degree2_pair(g, step.vertex)
+        if h.edge_id_set != g.edge_id_set - set(step.edge_pair):
+            raise InputError(f"the edges at vertex {step.vertex} are not {step.edge_pair}")
         return h
     h, _ = contract_odd_circuit(g, frozenset(step.edge_ids))
     return h
@@ -227,88 +235,57 @@ def subdivision_trace(h: Multigraph) -> SplittingTrace:
 def lift_even_circuit(c: Circuit, g_before: Multigraph, step: Step) -> Circuit:
     """The unique even circuit of ``g_before`` whose intersection with the
     contracted graph's edges is ``c``."""
-    return _lift(c, g_before, apply_step(g_before, step), step)
-
-
-def _lift(c: Circuit, g_before: Multigraph, g_after: Multigraph, step: Step) -> Circuit:
-    if not c.edge_set <= g_after.edge_id_set:
-        raise InputError("circuit does not live in the contracted graph")
-    check = circuit_from_edges(g_after, c.edge_set)
-    if not check.is_even:
-        raise InputError("only even circuits lift uniquely")
-
-    if isinstance(step, Degree2Contraction):
-        e_id, f_id = step.edge_pair
-        e, f = g_before.by_id[e_id], g_before.by_id[f_id]
-        v = step.vertex
-        a = e.other(v)
-        bvert = f.other(v)
-        merged = min(a, v, bvert)
-        if merged not in check.vertex_set:
-            return circuit_from_edges(g_before, c.edge_set)
-        touching = [
-            eid
-            for eid in c.edge_ids
-            if merged in _endpoints_after(g_after, eid)
-        ]
-        anchor_ends = []
-        for eid in touching:
-            edge = g_before.by_id[eid]
-            for end in (edge.u, edge.v):
-                if end in (a, bvert):
-                    anchor_ends.append(end)
-        if len(set(anchor_ends)) <= 1:
-            return circuit_from_edges(g_before, c.edge_set)
-        return circuit_from_edges(g_before, c.edge_set | {e_id, f_id})
-
-    # odd circuit contraction
-    ring = circuit_from_edges(g_before, frozenset(step.edge_ids))
-    merged = min(ring.vertex_set)
-    image = {v: merged for v in ring.vertex_set}
-    if merged not in check.vertex_set:
-        return circuit_from_edges(g_before, c.edge_set)
-    attach = []
-    for eid in c.edge_ids:
-        edge = g_before.by_id[eid]
-        for end in (edge.u, edge.v):
-            if end in ring.vertex_set:
-                attach.append(end)
-    attach = sorted(set(attach))
-    if len(attach) <= 1:
-        return circuit_from_edges(g_before, c.edge_set)
-    if len(attach) > 2:
-        raise InputError("circuit meets the contracted vertex more than twice")
-    p, q = attach
-    path = _even_path_on_circuit(g_before, ring, p, q)
-    return circuit_from_edges(g_before, c.edge_set | path)
-
-
-def _endpoints_after(g_after: Multigraph, eid: int) -> tuple[int, int]:
-    e = g_after.by_id[eid]
-    return (e.u, e.v)
-
-
-def _even_path_on_circuit(g: Multigraph, ring: Circuit, p: int, q: int) -> frozenset[int]:
-    """Of the two paths joining p and q along an odd circuit, the even one."""
-    steps = ring.sense
-    n = len(steps)
-    verts = [v for v, _ in steps]
-    ip, iq = verts.index(p), verts.index(q)
-    if ip > iq:
-        ip, iq = iq, ip
-    side1 = frozenset(steps[i][1] for i in range(ip, iq))
-    side2 = ring.edge_set - side1
-    return side1 if len(side1) % 2 == 0 else side2
+    trace = SplittingTrace(g_before, apply_step(g_before, step), (step,))
+    return lift_through_trace([c], trace)[0]
 
 
 def lift_through_trace(circuits: Sequence[Circuit], trace: SplittingTrace) -> list[Circuit]:
     """Lift even circuits of trace.to_graph all the way to trace.from_graph,
-    replaying the trace once."""
+    replaying the trace once: the circuits are checked against to_graph,
+    their edge sets lifted through each step by ``_lift``, and each one
+    built as a circuit on from_graph."""
+    g = trace.to_graph
+    lifted = []
+    for c in circuits:
+        if not c.edge_set <= g.edge_id_set:
+            raise InputError("circuit does not live in the contracted graph")
+        if not circuit_from_edges(g, c.edge_set).is_even:
+            raise InputError("only even circuits lift uniquely")
+        lifted.append(c.edge_set)
     states = trace.replay_states()
-    lifted = list(circuits)
-    for i in range(len(trace.steps) - 1, -1, -1):
-        lifted = [_lift(c, states[i], states[i + 1], trace.steps[i]) for c in lifted]
-    return lifted
+    for g_before, step in zip(reversed(states[:-1]), reversed(trace.steps)):
+        contracted = frozenset(
+            step.edge_pair if isinstance(step, Degree2Contraction) else step.edge_ids
+        )
+        lifted = [_lift(s, g_before, contracted) for s in lifted]
+    return [circuit_from_edges(trace.from_graph, s) for s in lifted]
+
+
+def _lift(edges: frozenset[int], g: Multigraph, contracted: frozenset[int]) -> frozenset[int]:
+    """Undo the contraction of ``contracted`` on an even circuit's edges.
+
+    Back in ``g`` the edges have odd degree at two vertices the step
+    merged, or at none; the even path between those two inside the
+    contracted edges closes the circuit again.
+    """
+    odd: set[int] = set()
+    for eid in edges:
+        e = g.by_id[eid]
+        odd ^= {e.u} ^ {e.v}  # a loop adds nothing
+    if not odd:
+        return edges
+    p, q = odd
+    # the contracted edges form a path from p to q or an odd circuit
+    # through both: walk from p along each of its contracted edges
+    for first in (e for e in g.incidence[p] if e.id in contracted):
+        path, cur = [first.id], first.other(p)
+        while cur != q:
+            e = next(f for f in g.incidence[cur] if f.id in contracted and f.id not in path)
+            path.append(e.id)
+            cur = e.other(cur)
+        if not len(path) % 2:
+            break
+    return edges.union(path)
 
 
 def induce_assignment(
@@ -320,9 +297,9 @@ def induce_assignment(
     """The assignment on the contracted graph matching ``j`` through lifting."""
     if j.kind in ("all-odd", "all-even"):
         return j
-    g_after = apply_step(g_before, step)
-    mapping = {}
-    for c in even_circuits(g_after, cap):
-        lifted = lift_even_circuit(c, g_before, step)
-        mapping[c.edge_set] = j.parity_for(lifted)
-    return ParityAssignment.from_map(mapping, j.default)
+    trace = SplittingTrace(g_before, apply_step(g_before, step), (step,))
+    evens = even_circuits(trace.to_graph, cap)
+    lifted = lift_through_trace(evens, trace)
+    return ParityAssignment.from_map(
+        {c.edge_set: j.parity_for(up) for c, up in zip(evens, lifted)}, j.default
+    )

@@ -8,8 +8,9 @@ import pytest
 
 from paritygraph import Multigraph, Orientation, clockwise_parity, even_circuits
 from paritygraph.catalog import base_graph
-from paritygraph.circuits import Circuit
+from paritygraph.circuits import Circuit, circuit_from_edges
 from paritygraph.errors import CapabilityError, InputError
+from paritygraph.gf2 import Gf2Matrix
 from paritygraph.graphs import find_isomorphism
 from paritygraph.pfaffian import enumerate_perfect_matchings
 from paritygraph.transforms import (
@@ -118,6 +119,38 @@ def even_splittings(g: Multigraph) -> list[Multigraph]:
     return out
 
 
+def gf2_matrix(rows, width: int) -> Gf2Matrix:
+    """A matrix from rows of 0/1 entries, entry j of a row in bit j."""
+    return Gf2Matrix.from_bitmasks(
+        [sum((b & 1) << j for j, b in enumerate(row)) for row in rows], width
+    )
+
+
+def is_connected(g: Multigraph) -> bool:
+    """Every vertex is reachable from the first; true without vertices."""
+    if not g.vertex_ids:
+        return True
+    seen = {g.vertex_ids[0]}
+    stack = [g.vertex_ids[0]]
+    while stack:
+        w = stack.pop()
+        for e in g.incidence[w]:
+            x = e.other(w)
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return len(seen) == g.n_vertices
+
+
+def reversed_circuit(c: Circuit) -> Circuit:
+    """``c`` with its stored sense run backwards."""
+    verts = [v for v, _ in c.sense]
+    eids = [e for _, e in c.sense]
+    n = len(eids)
+    rev = tuple((verts[(i + 1) % n], eids[i]) for i in range(n - 1, -1, -1))
+    return Circuit(c.edge_ids, rev)
+
+
 # -- independent oracles -------------------------------------------------
 
 
@@ -128,7 +161,7 @@ def circuits_by_brute_force(g: Multigraph) -> set[frozenset[int]]:
     for r in range(1, len(ids) + 1):
         for combo in itertools.combinations(ids, r):
             sub = g.subgraph(combo)
-            if all(sub.degree(v) == 2 for v in sub.vertex_ids) and sub.is_connected():
+            if all(sub.degree(v) == 2 for v in sub.vertex_ids) and is_connected(sub):
                 out.add(frozenset(combo))
     return out
 
@@ -219,7 +252,7 @@ def compatible_by_brute_force(g: Multigraph, j) -> bool:
 
 def two_connected_by_brute_force(g: Multigraph) -> bool:
     """g - v connected for every vertex v, plus connectivity."""
-    if not g.is_connected() or g.n_vertices < 2:
+    if not is_connected(g) or g.n_vertices < 2:
         return False
     for v in g.vertex_ids:
         rest_edges = [e for e in g.edges if v not in (e.u, e.v)]
@@ -377,6 +410,60 @@ def reduced_parity_form(g: Multigraph):
             pairs.append((fresh, b))
             fresh += 1
     return Multigraph.from_pairs(pairs, vertices=branch)
+
+
+def lift_by_cases(circuits, trace: SplittingTrace) -> list[Circuit]:
+    """lift_through_trace as it was before the one odd-degree rule: per
+    step, check each circuit against the contracted graph, then close it
+    by the step kind's own endpoint bookkeeping."""
+    states = trace.replay_states()
+    lifted = list(circuits)
+    for i in range(len(trace.steps) - 1, -1, -1):
+        lifted = [_lift_one_step(c, states[i], states[i + 1], trace.steps[i]) for c in lifted]
+    return lifted
+
+
+def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) -> Circuit:
+    if not c.edge_set <= g_after.edge_id_set:
+        raise InputError("circuit does not live in the contracted graph")
+    check = circuit_from_edges(g_after, c.edge_set)
+    if not check.is_even:
+        raise InputError("only even circuits lift uniquely")
+
+    if isinstance(step, Degree2Contraction):
+        e_id, f_id = step.edge_pair
+        a = g_before.by_id[e_id].other(step.vertex)
+        b = g_before.by_id[f_id].other(step.vertex)
+        merged = min(a, step.vertex, b)
+        if merged not in check.vertex_set:
+            return circuit_from_edges(g_before, c.edge_set)
+        anchor_ends = set()
+        for eid in c.edge_ids:
+            if merged in (g_after.by_id[eid].u, g_after.by_id[eid].v):
+                edge = g_before.by_id[eid]
+                anchor_ends |= {edge.u, edge.v} & {a, b}
+        if len(anchor_ends) <= 1:
+            return circuit_from_edges(g_before, c.edge_set)
+        return circuit_from_edges(g_before, c.edge_set | {e_id, f_id})
+
+    # an odd circuit contraction
+    ring = circuit_from_edges(g_before, frozenset(step.edge_ids))
+    if min(ring.vertex_set) not in check.vertex_set:
+        return circuit_from_edges(g_before, c.edge_set)
+    attach = set()
+    for eid in c.edge_ids:
+        edge = g_before.by_id[eid]
+        attach |= {edge.u, edge.v} & ring.vertex_set
+    if len(attach) <= 1:
+        return circuit_from_edges(g_before, c.edge_set)
+    if len(attach) > 2:
+        raise InputError("circuit meets the contracted vertex more than twice")
+    # of the two paths joining p and q along the ring, the even one
+    verts = [v for v, _ in ring.sense]
+    ip, iq = sorted(verts.index(v) for v in attach)
+    side = frozenset(eid for _, eid in ring.sense[ip:iq])
+    path = side if len(side) % 2 == 0 else ring.edge_set - side
+    return circuit_from_edges(g_before, c.edge_set | path)
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from conftest import (
     k23,
     k4,
     relabelled,
+    reversed_circuit,
     square,
     triangle,
     triple_edge,
@@ -127,7 +128,7 @@ def test_parity_is_sense_independent(small_corpus):
             [i for i in ids if rng.random() < 0.5]
         )
         for c in evens[:4]:
-            assert clockwise_parity(o, c) == clockwise_parity(o, c.reversed())
+            assert clockwise_parity(o, c) == clockwise_parity(o, reversed_circuit(c))
 
 
 def test_single_edge_flip_toggles_exactly_containing_circuits(small_corpus):

@@ -62,6 +62,15 @@ def test_check_explicit_assignment_coverage_error(files, capsys):
     assert code in (0, 1)
 
 
+def test_check_assignment_listing_a_circuit_twice_exits_2(files, capsys):
+    # the second line once overrode the first and flipped the verdict
+    g = files("g.graph", K23_TEXT)
+    a = files("a.j", "j odd 4 1 2 4 5\nj even 4 1 2 4 5\n")
+    code, out, err = run(capsys, "check", g, a, "--default-parity", "even")
+    assert code == 2 and out == ""
+    assert "line 2: circuit [1, 2, 4, 5] is listed twice" in err
+
+
 def test_scan_k4_all_even(files, capsys):
     g = files("g.graph", K4_TEXT)
     code, out, _ = run(capsys, "scan", g, "--all-even", "--cross-check")

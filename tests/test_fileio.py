@@ -80,6 +80,30 @@ def test_assignment_rejects_empty():
         parse_assignment("c nothing here\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("j-all odd\nnot an assignment line\n", "line 2: nothing may follow the j-all line"),
+        ("j-all odd\nc comment\n\nj-all even\n", "line 4: nothing may follow the j-all line"),
+        ("j-all even\nj odd 4 1 2 4 5\n", "line 2: nothing may follow the j-all line"),
+        ("j odd 4 1 2 4 5\nj even 4 5 4 2 1\n", "line 2: circuit [1, 2, 4, 5] is listed twice"),
+        ("j odd 4 1 2 4 5\nj odd 4 1 2 4 5\n", "line 2: circuit [1, 2, 4, 5] is listed twice"),
+        ("j odd 4 1 2 4 5\nj even 4 1 3 3 6\n", "line 2: an edge id is repeated"),
+        ("j odd 4 1 2 2 1\n", "line 1: an edge id is repeated"),
+    ],
+    ids=["garbage-after-j-all", "j-all-twice", "j-after-j-all", "circuit-reordered",
+         "circuit-repeated", "id-repeated", "ids-repeated"],
+)
+def test_assignment_rejects_trailing_lines_repeated_circuits_and_ids(text, message):
+    with pytest.raises(InputError) as exc:
+        parse_assignment(text)
+    assert str(exc.value) == message
+
+
+def test_assignment_j_all_allows_trailing_comments():
+    assert parse_assignment("j-all odd\nc note\n\n").kind == "all-odd"
+
+
 def test_dot_output_mentions_edges():
     text = to_dot(k23(), highlight=frozenset({1}))
     assert "graph g {" in text

@@ -16,9 +16,11 @@ from paritygraph.gf2 import (
     solve_with_nullspace,
 )
 
+from conftest import gf2_matrix
+
 
 def M(rows, width):
-    return Gf2Matrix.from_rows(rows, width)
+    return gf2_matrix(rows, width)
 
 
 def test_solve_identity():

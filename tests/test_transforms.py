@@ -12,7 +12,8 @@ from paritygraph import (
     even_circuits,
     isomorphic,
 )
-from paritygraph.catalog import WITNESS_BASES, base_graph
+from paritygraph.catalog import WITNESS_BASES, base_graph, catalog
+from paritygraph.circuits import Circuit
 from paritygraph.corpus import connected_multigraphs
 from paritygraph.errors import InputError
 from paritygraph.graphs import Orientation, find_isomorphism
@@ -20,6 +21,8 @@ from paritygraph.graphs import Orientation, find_isomorphism
 from paritygraph.transforms import (
     Degree2Contraction,
     OddCircuitContraction,
+    SplittingTrace,
+    apply_step,
     contract_degree2_pair,
     contract_odd_circuit,
     degree2_options,
@@ -31,7 +34,7 @@ from paritygraph.transforms import (
     subdivide_edge,
     subdivision_trace,
 )
-from paritygraph.scanner import _edge_subsets
+from paritygraph.scanner import _edge_subsets, witness_candidates
 
 from conftest import (
     cube,
@@ -40,6 +43,7 @@ from conftest import (
     k23,
     k33,
     k4,
+    lift_by_cases,
     reduced_parity_form,
     relabelled,
     splitting_by_bfs,
@@ -316,6 +320,82 @@ def test_lift_rejects_non_circuit():
     bogus = circuit_from_edges(g, {1, 2, 3, 4})
     with pytest.raises(InputError):
         lift_even_circuit(bogus, g, step)
+
+
+def _lifts_agree(trace: SplittingTrace) -> list[Circuit]:
+    evens = even_circuits(trace.to_graph)
+    lifted = lift_through_trace(evens, trace)
+    assert lifted == lift_by_cases(evens, trace)
+    return lifted
+
+
+def test_lift_through_trace_equals_the_case_by_case_oracle_on_witness_candidates():
+    graphs = list(connected_multigraphs(5, 8)[::3])
+    graphs += [wheel(5), wheel(6), wheel(7), grid(3, 3), k33(), *catalog().values()]
+    n_odd = n_digon = 0
+    for g in graphs:
+        for cand in witness_candidates(g):
+            trace = cand.trace
+            if cand.odd_circuit is not None:
+                step = OddCircuitContraction(tuple(sorted(cand.odd_circuit)))
+                trace = SplittingTrace(g.subgraph(cand.subset), trace.to_graph, (step,) + trace.steps)
+                n_odd += 1
+            lifted = sorted(_lifts_agree(trace), key=lambda c: (len(c), c.edge_ids))
+            assert tuple(lifted) == cand.lifted
+            for state, step in zip(trace.replay_states(), trace.steps):
+                if isinstance(step, Degree2Contraction):
+                    e, f = (state.by_id[i] for i in step.edge_pair)
+                    n_digon += (e.u, e.v) == (f.u, f.v)
+    assert n_odd > 1000 and n_digon > 500
+
+
+def test_lift_even_circuit_equals_the_case_by_case_oracle_on_single_steps():
+    n_steps = 0
+    for g in connected_multigraphs(4, 6):
+        steps = []
+        for v in degree2_options(g):
+            inc = g.incidence[v]
+            steps.append(Degree2Contraction(v, (inc[0].id, inc[1].id)))
+        for c in enumerate_circuits(g):
+            if not c.is_even:
+                steps.append(OddCircuitContraction(c.edge_ids))
+        for step in steps:
+            trace = SplittingTrace(g, apply_step(g, step), (step,))
+            lifted = _lifts_agree(trace)
+            evens = even_circuits(trace.to_graph)
+            assert lifted == [lift_even_circuit(c, g, step) for c in evens]
+            n_steps += 1
+    assert n_steps > 700
+
+
+def test_lift_errors_equal_the_case_by_case_oracle():
+    # a square 1-2-3-4 with a second path 1-5-3 and a loop at 4;
+    # contracting at vertex 2 leaves the digons {3, 4} and {5, 6}
+    g = Multigraph.from_pairs([(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 3), (4, 4)])
+    step = Degree2Contraction(2, (1, 2))
+    trace = SplittingTrace(g, apply_step(g, step), (step,))
+    cases = [
+        (circuit_from_edges(g, {1, 2, 3, 4}), "circuit does not live in the contracted graph"),
+        (circuit_from_edges(trace.to_graph, {7}), "only even circuits lift uniquely"),
+        (Circuit((3, 5), ((4, 3), (1, 5))), "edge set [3, 5] is not 2-regular"),
+    ]
+    for c, message in cases:
+        for lift in (lift_through_trace, lift_by_cases):
+            with pytest.raises(InputError) as info:
+                lift([c], trace)
+            assert str(info.value) == message
+
+
+def test_replay_rejects_a_step_whose_pair_is_not_at_its_vertex():
+    g = square()
+    for pair in [(3, 4), (1, 3), (1, 99)]:
+        step = Degree2Contraction(2, pair)
+        with pytest.raises(InputError, match=r"the edges at vertex 2 are not"):
+            apply_step(g, step)
+        trace = SplittingTrace(g, contract_degree2_pair(g, 2)[0], (step,))
+        with pytest.raises(InputError, match=r"the edges at vertex 2 are not"):
+            lift_through_trace(even_circuits(trace.to_graph), trace)
+    assert apply_step(g, Degree2Contraction(2, (2, 1))) == contract_degree2_pair(g, 2)[0]
 
 
 def test_induced_assignment_constant_kinds():
