@@ -123,6 +123,14 @@ def _witness_lines(w) -> str:
 
 
 def cmd_scan(args) -> int:
+    if args.all_odd and args.all_even:
+        raise InputError("scan takes at most one of --all-odd and --all-even")
+    if (args.all_odd or args.all_even) and (
+        args.assignment is not None or args.default_parity is not None
+    ):
+        raise InputError(
+            "an assignment file or --default-parity cannot be combined with --all-odd or --all-even"
+        )
     g = _load_graph(args.graph)
     if args.all_odd:
         j = ParityAssignment.all_odd()

@@ -5,86 +5,21 @@ The exhaustive generator produces every connected multigraph (loops and
 parallel edges included) up to isomorphism within the given vertex and
 edge bounds, by canonical augmentation from spanning trees.
 
-Isomorphism classes are told apart by `canonical_key`: the vertex count
-and the lexicographically least sorted edge-pair list over all
-relabellings of the vertices to ``0..n-1``.  For edge multisets of equal
-size that list is least exactly when the multiplicity vector in slot
-order ``(0,0), (0,1), ..., (0,n-1), (1,1), ...`` is greatest, so the key
-is found by filling that vector row by row.  The search labels positions
-``0, 1, ...`` in turn from the first cell of an ordered partition of the
-unlabelled vertices, keeps only the candidates whose row is maximal, and
-splits every cell by multiplicity to the chosen vertex (ordered
-partition refinement with individualisation; McKay and Piperno,
-"Practical graph isomorphism, II", 2014).  Branches that leave the same
-ordered partition have the same future and are merged.  The key is
-exact.  The search is still exponential in the worst case, but well
-below the n! relabellings: K_n visits 2^n - 1 nodes, the Petersen
-graph 591.
+Isomorphism classes are told apart by `canonical_key`, the exact
+partition-refinement key that lives in `graphs` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product
 
 from .errors import InputError
-from .graphs import Multigraph
+from .graphs import GraphKey, Multigraph, Pairs, canonical_key, canonical_pairs
 
-Pairs = tuple[tuple[int, int], ...]
-GraphKey = tuple[int, Pairs]
-
-
-def _canonical_pairs(n: int, pairs: Sequence[tuple[int, int]]) -> Pairs:
-    """The lexicographically least sorted relabelling of index pairs on
-    vertices ``0..n-1``."""
-    mult = [[0] * n for _ in range(n)]
-    for a, b in pairs:
-        mult[a][b] += 1
-        if a != b:
-            mult[b][a] += 1
-    # each node: the labelled prefix and the ordered partition of the rest;
-    # rows of the vector from here on depend only on that partition
-    level: dict[tuple, tuple[int, ...]] = {(tuple(range(n)),): ()}
-    for _ in range(n):
-        best: tuple[int, ...] = ()
-        survivors: dict[tuple, tuple[int, ...]] = {}
-        for cells, prefix in level.items():
-            first = cells[0]
-            for v in first:
-                to_v = mult[v]
-                row = [to_v[v]]
-                split = []
-                for cell in ((tuple(w for w in first if w != v),) + cells[1:]):
-                    by_mult: dict[int, list[int]] = {}
-                    for w in cell:
-                        by_mult.setdefault(to_v[w], []).append(w)
-                    for m in sorted(by_mult, reverse=True):
-                        part = by_mult[m]
-                        split.append(tuple(part))
-                        row += [m] * len(part)
-                row_t = tuple(row)
-                if row_t > best:
-                    best = row_t
-                    survivors = {}
-                if row_t == best:
-                    survivors.setdefault(tuple(split), prefix + (v,))
-        level = survivors
-    position = [0] * n
-    for i, v in enumerate(next(iter(level.values()))):
-        position[v] = i
-    relabelled = ((position[a], position[b]) for a, b in pairs)
-    return tuple(sorted((a, b) if a <= b else (b, a) for a, b in relabelled))
-
-
-def canonical_key(g: Multigraph) -> GraphKey:
-    """A label-independent key: the vertex count and the lexicographically
-    least relabeled edge list."""
-    index = {v: i for i, v in enumerate(g.vertex_ids)}
-    pairs = [(index[e.u], index[e.v]) for e in g.edges]
-    return (g.n_vertices, _canonical_pairs(g.n_vertices, pairs))
+__all__ = ["canonical_key", "connected_multigraphs", "random_connected_multigraph"]
 
 
 def _from_key(key: GraphKey) -> Multigraph:
@@ -130,7 +65,7 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph
     for n in range(1, max_vertices + 1):
         if n - 1 > max_edges:
             break
-        level = sorted({_canonical_pairs(n, tree) for tree in _labeled_trees(n)})
+        level = sorted({canonical_pairs(n, tree) for tree in _labeled_trees(n)})
         seen_all = set(level)
         out.extend((n, pairs) for pairs in level)
         slots = [(a, b) for a in range(n) for b in range(a, n)]
@@ -139,7 +74,7 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph
             next_level = set()
             for pairs in level:
                 for slot in slots:
-                    new_pairs = _canonical_pairs(n, pairs + (slot,))
+                    new_pairs = canonical_pairs(n, pairs + (slot,))
                     if new_pairs not in seen_all:
                         seen_all.add(new_pairs)
                         next_level.add(new_pairs)

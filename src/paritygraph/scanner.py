@@ -5,13 +5,18 @@ odd circuit inside it, is an even splitting of a catalog base whose
 parity rule the assignment triggers.  Every scan reads one lazy candidate
 stream, which enumerates connected edge subsets in ascending size, and
 returns the first candidate whose rule the assignment triggers, so the
-witness is edge-minimal among those the search accepts.  ``find_witness``
-matches all nine bases by the splitting search, and its candidates do not
-depend on the assignment, so one cached scan serves many assignments.
-``scan_all_odd`` and ``scan_all_even`` need only O1, E1 and E3, of
-maximum degree three, whose even splittings are even subdivisions: they
-match by the chain walk ``subdivision_trace``, with no search and no
-vertex limit, and every candidate they meet triggers its rule.
+witness is edge-minimal among those the search accepts.  The stream skips
+a subset, odd contractions included, when it holds fewer even circuits
+than any base it looks for: a base's even circuits lift injectively into
+the subset, so no match can be lost.  ``find_witness`` matches all nine
+bases by the splitting search, and its candidates do not depend on the
+assignment, so one cached scan serves many assignments; within one scan
+a graph isomorphic to one the search already refuted is refuted by its
+``canonical_key``, with no second search.  ``scan_all_odd`` and
+``scan_all_even`` need only O1, E1 and E3, of maximum degree three, whose
+even splittings are even subdivisions: they match by the chain walk
+``subdivision_trace``, with no search and no vertex limit, and every
+candidate they meet triggers its rule.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from .circuits import (
     enumerate_circuits,
     even_circuits,
 )
-from .errors import ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .gf2 import bits_to_indices, indices_to_bits
-from .graphs import Multigraph, find_isomorphism
+from .graphs import GraphKey, Multigraph, canonical_key, find_isomorphism
 from .solver import ParityAssignment, is_intractable_set
 from .transforms import (
+    SPLITTING_VERTEX_LIMIT,
     OddCircuitContraction,
     SplittingTrace,
     lift_through_trace,
@@ -189,15 +195,26 @@ def _candidates(
     lazily: subsets in (size, mask) order; per subset, its direct matches
     in base order or, when there are none, its matches after each odd
     circuit contraction.  ``matches(h)`` gives (base name, trace from h)
-    for each of ``bases`` that ``h`` matches."""
+    for each of ``bases`` that ``h`` matches.
+
+    A subset holding fewer even circuits of ``g`` than the fewest any of
+    ``bases`` has is skipped whole: no subgraph is built, no odd circuit
+    contracted and no match attempted.  That is exact.  A base's even
+    circuits lift through the splitting trace and then through the odd
+    circuit contraction to even circuits of ``g`` inside the subset, and
+    the lifting is injective, because a lift meets the contracted graph
+    exactly in the circuit it came from.  So a match, direct or
+    contracted, puts at least ``EVEN_CIRCUIT_COUNT[base]`` even circuits
+    of ``g`` inside the subset."""
+    if budget < 1:
+        raise InputError("scan budget must be positive")
     even_masks, odd = _circuit_masks(g, cap)
     min_edges = min(base_graph(name).n_edges for name in bases)
     min_count = min(EVEN_CIRCUIT_COUNT[name] for name in bases)
     for mask, subset in _edge_subsets(g, min_edges, budget):
-        n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
-        direct: list[tuple[str, SplittingTrace]] = []
-        if n_even_inside >= min_count and not _has_loop(g, subset):
-            direct = matches(g.subgraph(subset))
+        if sum(1 for em in even_masks if em & ~mask == 0) < min_count:
+            continue
+        direct = [] if _has_loop(g, subset) else matches(g.subgraph(subset))
         if direct:
             yield from (_candidate(g, subset, name, None, t) for name, t in direct)
             continue
@@ -220,8 +237,28 @@ def witness_candidates(
 
     Assignment-independent: pairing these with a parity rule is all a scan
     per assignment has to do.
+
+    Whether a graph is an even splitting of a base does not depend on its
+    labels, so the matcher keeps the ``canonical_key`` of every graph the
+    splitting search refutes for all nine bases, and a later isomorphic
+    graph gets no match without a search.  A graph with a match always
+    runs the search, because its trace depends on the labels.  The keys
+    live as long as this one candidate stream.
     """
-    return tuple(_candidates(g, WITNESS_BASES, budget, cap, _split_matches))
+    refuted: set[GraphKey] = set()
+
+    def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
+        if h.n_vertices > SPLITTING_VERTEX_LIMIT:
+            return _split_matches(h)  # CapabilityError, before any key is computed
+        key = canonical_key(h)
+        if key in refuted:
+            return []
+        found = _split_matches(h)
+        if not found:
+            refuted.add(key)
+        return found
+
+    return tuple(_candidates(g, WITNESS_BASES, budget, cap, matches))
 
 
 def _first_triggered(

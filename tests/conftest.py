@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from paritygraph import Multigraph, Orientation, clockwise_parity, even_circuits
-from paritygraph.catalog import base_graph
+from paritygraph import scanner
+from paritygraph.catalog import EVEN_CIRCUIT_COUNT, WITNESS_BASES, base_graph
 from paritygraph.circuits import Circuit, circuit_from_edges
 from paritygraph.errors import CapabilityError, InputError
 from paritygraph.gf2 import Gf2Matrix
@@ -21,6 +22,7 @@ from paritygraph.transforms import (
     apply_step,
     contract_degree2_pair,
     degree2_options,
+    subdivision_trace,
 )
 
 
@@ -464,6 +466,49 @@ def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) 
     side = frozenset(eid for _, eid in ring.sense[ip:iq])
     path = side if len(side) % 2 == 0 else ring.edge_set - side
     return circuit_from_edges(g_before, c.edge_set | path)
+
+
+def candidates_without_skips(g: Multigraph, bases, budget: int, cap: int, matches):
+    """``scanner._candidates`` before the even-circuit skip: every subset
+    without a loop is matched directly, and a subset with no direct match
+    tries each of its odd circuit contractions, however few even circuits
+    of ``g`` it holds."""
+    even_masks, odd = scanner._circuit_masks(g, cap)
+    min_edges = min(base_graph(name).n_edges for name in bases)
+    min_count = min(EVEN_CIRCUIT_COUNT[name] for name in bases)
+    for mask, subset in scanner._edge_subsets(g, min_edges, budget):
+        n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
+        direct = []
+        if n_even_inside >= min_count and not scanner._has_loop(g, subset):
+            direct = matches(g.subgraph(subset))
+        if direct:
+            yield from (scanner._candidate(g, subset, n, None, t) for n, t in direct)
+            continue
+        for oset, h in scanner._odd_contractions(g, subset, mask, odd, min_edges):
+            yield from (scanner._candidate(g, subset, n, oset, t) for n, t in matches(h))
+
+
+def witness_candidates_without_skips(g: Multigraph, budget: int, cap: int) -> tuple:
+    """``witness_candidates`` with neither skip: no even-circuit count
+    check before the odd contractions and no memo of refuted graphs, so
+    every graph offered runs the splitting search over all nine bases."""
+    return tuple(
+        candidates_without_skips(g, WITNESS_BASES, budget, cap, scanner._split_matches)
+    )
+
+
+def subdivision_scan_without_skips(g: Multigraph, bases, j, budget: int, cap: int):
+    """``scanner._subdivision_scan`` on the stream without the even-circuit
+    skip."""
+
+    def matches(h: Multigraph):
+        trace = subdivision_trace(h)
+        return [
+            (name, trace) for name in bases
+            if find_isomorphism(trace.to_graph, base_graph(name)) is not None
+        ]
+
+    return scanner._first_triggered(candidates_without_skips(g, bases, budget, cap, matches), j)
 
 
 @pytest.fixture(scope="session")

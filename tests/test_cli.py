@@ -129,6 +129,36 @@ def test_scan_over_the_splitting_limit_exits_2(files, capsys):
     assert err == "error: splitting search supported up to 14 vertices\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--all-odd", "--all-even"), "scan takes at most one of --all-odd and --all-even"),
+        (("a.j", "--all-odd"), "an assignment file or --default-parity cannot be combined"),
+        (("a.j", "--all-even"), "an assignment file or --default-parity cannot be combined"),
+        (("--all-odd", "--default-parity", "odd"), "an assignment file or --default-parity"),
+        (("--all-even", "--default-parity", "even"), "an assignment file or --default-parity"),
+    ],
+)
+def test_scan_conflicting_flags_exit_2(files, capsys, flags, message):
+    # all of these once ran silently: both flags as all-odd, and the
+    # assignment file or default parity ignored beside either flag
+    g = files("g.graph", K23_TEXT)
+    a = files("a.j", "j-all even\n")
+    argv = [a if f == "a.j" else f for f in flags]
+    code, out, err = run(capsys, "scan", g, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_scan_budget_below_one_exits_2(files, capsys, budget):
+    g = files("g.graph", K23_TEXT)
+    a = files("a.j", "j-all odd\n")
+    for argv in ((a,), ("--all-odd",), ("--all-even",)):
+        code, out, err = run(capsys, "scan", g, *argv, "--budget", budget)
+        assert (code, out, err) == (2, "", "error: scan budget must be positive\n")
+
+
 def test_decompose_k23(files, capsys):
     g = files("g.graph", K23_TEXT)
     code, out, _ = run(capsys, "decompose", g, "--validate")

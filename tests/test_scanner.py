@@ -12,9 +12,14 @@ from paritygraph import (
     decide,
     even_circuits,
 )
-from paritygraph.catalog import base_graph
-from paritygraph.errors import CapabilityError, ResourceLimitError
+import paritygraph.scanner as scanner
+from paritygraph.catalog import CATALOG_NAMES, EVEN_CIRCUIT_COUNT, base_graph
+from paritygraph.circuits import DEFAULT_CIRCUIT_CAP
+from paritygraph.cli import main
+from paritygraph.errors import CapabilityError, InputError, ResourceLimitError
+from paritygraph.fileio import emit_graph
 from paritygraph.scanner import (
+    DEFAULT_SCAN_BUDGET,
     _edge_subsets,
     find_witness,
     scan_all_even,
@@ -25,10 +30,23 @@ from paritygraph.scanner import (
 from paritygraph.transforms import (
     SPLITTING_VERTEX_LIMIT,
     is_even_splitting_of,
+    splitting_traces,
     subdivide_edge,
 )
 
-from conftest import grid, is_connected, k23, k4, square, subdivided, triple_edge, wheel
+from conftest import (
+    grid,
+    is_connected,
+    k23,
+    k33,
+    k4,
+    square,
+    subdivided,
+    subdivision_scan_without_skips,
+    triple_edge,
+    wheel,
+    witness_candidates_without_skips,
+)
 
 
 def test_k23_all_odd_witness_is_direct_o1():
@@ -139,6 +157,23 @@ def test_specialised_scans_agree_with_general_scan(small_corpus):
 def test_budget_is_enforced():
     with pytest.raises(ResourceLimitError):
         witness_candidates.__wrapped__(k4(), 3, 100_000)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_rejected_before_any_work(budget, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("circuits enumerated")
+
+    monkeypatch.setattr(scanner, "enumerate_circuits", no_enumeration)
+    scans = (
+        lambda: witness_candidates.__wrapped__(k4(), budget),
+        lambda: find_witness(k4(), ParityAssignment.all_odd(), budget),
+        lambda: scan_all_odd(k4(), budget),
+        lambda: scan_all_even(k4(), budget),
+    )
+    for scan in scans:
+        with pytest.raises(InputError, match="^scan budget must be positive$"):
+            scan()
 
 
 def theta(a, b, c) -> Multigraph:
@@ -308,3 +343,87 @@ def test_grid_4x4_scans_stop_at_the_budget_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+# -- the even-circuit skip and the refuted-class memo -------------------
+
+
+def skip_oracle_graphs():
+    from paritygraph.corpus import connected_multigraphs
+
+    named = [wheel(n) for n in range(5, 9)] + [grid(3, 3), k33()]
+    return list(connected_multigraphs(5, 8)[::2]) + named + [base_graph(n) for n in CATALOG_NAMES]
+
+
+def test_skips_change_no_candidate_and_no_scan_result():
+    budget, cap = DEFAULT_SCAN_BUDGET, DEFAULT_CIRCUIT_CAP
+    odd, even = ParityAssignment.all_odd(), ParityAssignment.all_even()
+    for g in skip_oracle_graphs():
+        # candidates compare by subset, base, odd circuit, trace and lifts
+        assert witness_candidates.__wrapped__(g, budget, cap) == (
+            witness_candidates_without_skips(g, budget, cap)
+        )
+        assert scan_all_odd(g, budget, cap) == (
+            subdivision_scan_without_skips(g, ("O1",), odd, budget, cap)
+        )
+        assert scan_all_even(g, budget, cap) == (
+            subdivision_scan_without_skips(g, ("E1", "E3"), even, budget, cap)
+        )
+
+
+def test_every_candidate_holds_its_base_count_of_even_circuits():
+    # the skip's premise: the lifted circuits are distinct even circuits
+    # of g inside the subset, as many as the base has
+    for g in [wheel(n) for n in range(5, 8)] + [grid(3, 3), k33()] + [
+        base_graph(n) for n in CATALOG_NAMES
+    ]:
+        evens = [c.edge_set for c in even_circuits(g)]
+        for cand in witness_candidates(g):
+            inside = [s for s in evens if s <= cand.subset]
+            assert len(inside) >= EVEN_CIRCUIT_COUNT[cand.base_name]
+            lifted = {c.edge_set for c in cand.lifted}
+            assert len(lifted) == EVEN_CIRCUIT_COUNT[cand.base_name]
+            assert lifted <= set(inside)
+
+
+@pytest.mark.parametrize("g, calls", [(wheel(7), 222), (wheel(8), 449)])
+def test_cold_wheel_splitting_search_counts_are_pinned(g, calls, monkeypatch):
+    # 2270 and 6779 searches with neither skip
+    made = []
+
+    def counted(h, bases):
+        made.append(h)
+        return splitting_traces(h, bases)
+
+    monkeypatch.setattr(scanner, "splitting_traces", counted)
+    witness_candidates.__wrapped__(g)
+    assert len(made) == calls
+
+
+def test_vertex_limit_fires_before_any_key_is_computed(monkeypatch):
+    def no_key(h):
+        raise AssertionError("canonical key computed")
+
+    monkeypatch.setattr(scanner, "canonical_key", no_key)
+    big = subdivided(K23_PAIRS, (11, 1, 1, 1, 1, 1))
+    with pytest.raises(CapabilityError, match="splitting search"):
+        witness_candidates.__wrapped__(big)
+
+
+def test_subset_with_too_few_even_circuits_is_not_contracted(tmp_path, capsys):
+    # theta(1, 2, 15) has one even circuit; contracting its triangle leaves
+    # a 15-vertex graph, over the splitting limit.  find_witness used to
+    # raise CapabilityError there (CLI exit 2); the skip never builds that
+    # graph, so the scan completes with no witness (CLI exit 1).
+    g = theta(1, 2, 15)
+    assert g.n_vertices == SPLITTING_VERTEX_LIMIT + 3 and len(even_circuits(g)) == 1
+    for j in (ParityAssignment.all_odd(), ParityAssignment.all_even()):
+        assert find_witness(g, j, 10**6) is None
+    assert scan_all_odd(g, 10**6) is None and scan_all_even(g, 10**6) is None
+    graph = tmp_path / "theta.graph"
+    graph.write_text(emit_graph(g))
+    for parity in ("odd", "even"):
+        assignment = tmp_path / f"{parity}.j"
+        assignment.write_text(f"j-all {parity}\n")
+        assert main(["scan", str(graph), str(assignment), "--budget", "1000000"]) == 1
+        assert capsys.readouterr() == ("NO-WITNESS\n", "")
