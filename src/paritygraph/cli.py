@@ -259,6 +259,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_circuits < 1:
+            raise InputError("circuit cap must be positive")
         return args.func(args)
     except (InputError, ResourceLimitError, CapabilityError, ContractError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

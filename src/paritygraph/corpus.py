@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InputError
-from .graphs import GraphKey, Multigraph, Pairs, canonical_key, canonical_pairs
+from .graphs import GraphKey, Multigraph, Pairs, canonical_key, canonical_labelling
 
 __all__ = ["canonical_key", "connected_multigraphs", "random_connected_multigraph"]
 
@@ -65,7 +65,7 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph
     for n in range(1, max_vertices + 1):
         if n - 1 > max_edges:
             break
-        level = sorted({canonical_pairs(n, tree) for tree in _labeled_trees(n)})
+        level = sorted({canonical_labelling(n, tree)[1] for tree in _labeled_trees(n)})
         seen_all = set(level)
         out.extend((n, pairs) for pairs in level)
         slots = [(a, b) for a in range(n) for b in range(a, n)]
@@ -74,7 +74,7 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph
             next_level = set()
             for pairs in level:
                 for slot in slots:
-                    new_pairs = canonical_pairs(n, pairs + (slot,))
+                    new_pairs = canonical_labelling(n, pairs + (slot,))[1]
                     if new_pairs not in seen_all:
                         seen_all.add(new_pairs)
                         next_level.add(new_pairs)

@@ -1,9 +1,9 @@
 """Text formats: graph files, assignment files, DOT rendering.
 
-Graph files are DIMACS-like.  Canonical form (what ``emit_graph``
-produces) lists isolated vertices first, then edges by ascending id,
-single spaces, trailing newline; parsing then emitting a canonical file
-reproduces it byte for byte.
+Graph files are DIMACS-like, with exactly one ``p`` header line.
+Canonical form (what ``emit_graph`` produces) lists isolated vertices
+first, then edges by ascending id, single spaces, trailing newline;
+parsing then emitting a canonical file reproduces it byte for byte.
 
     c free-form comment
     p parity-graph <n> <m>
@@ -36,6 +36,8 @@ def parse_graph(text: str) -> Multigraph:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind == "p" and n is not None:
+            raise InputError(f"line {lineno}: a second 'p parity-graph' header")
         try:
             if kind == "p":
                 if len(parts) != 4 or parts[1] != "parity-graph":

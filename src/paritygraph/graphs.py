@@ -20,6 +20,11 @@ ordered partition have the same future and are merged.  The key is
 exact.  The search is still exponential in the worst case, but well
 below the n! relabellings: K_n visits 2^n - 1 nodes, the Petersen
 graph 591.
+
+The search also yields the canonical vertex order it labelled, and each
+graph caches both in ``Multigraph.canonical``.  That is the one
+isomorphism test: ``find_isomorphism`` compares two keys and, when they
+are equal, maps each graph's canonical order onto the other's.
 """
 
 from __future__ import annotations
@@ -116,6 +121,15 @@ class Multigraph:
             if not e.is_loop:
                 inc[e.v].append(e)
         return {v: tuple(es) for v, es in inc.items()}
+
+    @cached_property
+    def canonical(self) -> tuple[tuple[int, ...], GraphKey]:
+        """The vertex ids in canonical order, and ``canonical_key``."""
+        index = {v: i for i, v in enumerate(self.vertex_ids)}
+        order, pairs = canonical_labelling(
+            self.n_vertices, [(index[e.u], index[e.v]) for e in self.edges]
+        )
+        return tuple(self.vertex_ids[i] for i in order), (self.n_vertices, pairs)
 
     def degree(self, v: int) -> int:
         d = 0
@@ -292,31 +306,14 @@ def _odd_circuit_from_conflict(w, x, conflict_edge, parent, parent_edge) -> froz
 # -- isomorphism -------------------------------------------------------
 
 
-def _pair_multiplicities(g: Multigraph) -> dict[tuple[int, int], int]:
-    mult: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        key = (e.u, e.v)
-        mult[key] = mult.get(key, 0) + 1
-    return mult
-
-
-def _vertex_signature(g: Multigraph, mult) -> dict[int, tuple]:
-    sig = {}
-    for v in g.vertex_ids:
-        loops = mult.get((v, v), 0)
-        to_neighbors = sorted(
-            m for (a, b), m in mult.items() if a != b and (a == v or b == v)
-        )
-        sig[v] = (g.degree(v), loops, tuple(to_neighbors))
-    return sig
-
-
 def find_isomorphism(g1: Multigraph, g2: Multigraph) -> Optional[dict[int, int]]:
     """A vertex bijection preserving edge multiplicities, or None.
 
     Graphs of different vertex or edge counts give None at once; otherwise
-    exhaustive backtracking with degree-signature pruning, supported up to
-    ISO_VERTEX_LIMIT vertices.
+    supported up to ISO_VERTEX_LIMIT vertices.  The graphs are isomorphic
+    iff their canonical keys are equal, and then the vertex at each
+    position of one canonical order maps to the vertex at that position
+    of the other.
     """
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return None
@@ -324,54 +321,22 @@ def find_isomorphism(g1: Multigraph, g2: Multigraph) -> Optional[dict[int, int]]
         raise CapabilityError(
             f"isomorphism supported up to {ISO_VERTEX_LIMIT} vertices"
         )
-    m1, m2 = _pair_multiplicities(g1), _pair_multiplicities(g2)
-    s1, s2 = _vertex_signature(g1, m1), _vertex_signature(g2, m2)
-    if sorted(s1.values()) != sorted(s2.values()):
+    (order1, key1), (order2, key2) = g1.canonical, g2.canonical
+    if key1 != key2:
         return None
-
-    vs1 = sorted(g1.vertex_ids, key=lambda v: (s1[v], v))
-    candidates = {v: [w for w in g2.vertex_ids if s2[w] == s1[v]] for v in vs1}
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(vs1):
-            return True
-        v = vs1[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            if m1.get((v, v), 0) != m2.get((w, w), 0):
-                ok = False
-            if ok:
-                for v2, w2 in mapping.items():
-                    a, b = (v, v2) if v <= v2 else (v2, v)
-                    c, d = (w, w2) if w <= w2 else (w2, w)
-                    if m1.get((a, b), 0) != m2.get((c, d), 0):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    return dict(zip(order1, order2))
 
 
 def isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
     return find_isomorphism(g1, g2) is not None
 
 
-def canonical_pairs(n: int, pairs: Sequence[tuple[int, int]]) -> Pairs:
-    """The lexicographically least sorted relabelling of index pairs on
-    vertices ``0..n-1``."""
+def canonical_labelling(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], Pairs]:
+    """The canonical order of vertices ``0..n-1``, and the index pairs
+    relabelled by position in it: their lexicographically least sorted
+    relabelling."""
     mult = [[0] * n for _ in range(n)]
     for a, b in pairs:
         mult[a][b] += 1
@@ -404,16 +369,15 @@ def canonical_pairs(n: int, pairs: Sequence[tuple[int, int]]) -> Pairs:
                 if row_t == best:
                     survivors.setdefault(tuple(split), prefix + (v,))
         level = survivors
+    order = next(iter(level.values()))
     position = [0] * n
-    for i, v in enumerate(next(iter(level.values()))):
+    for i, v in enumerate(order):
         position[v] = i
     relabelled = ((position[a], position[b]) for a, b in pairs)
-    return tuple(sorted((a, b) if a <= b else (b, a) for a, b in relabelled))
+    return order, tuple(sorted((a, b) if a <= b else (b, a) for a, b in relabelled))
 
 
 def canonical_key(g: Multigraph) -> GraphKey:
     """A label-independent key: the vertex count and the lexicographically
     least relabeled edge list."""
-    index = {v: i for i, v in enumerate(g.vertex_ids)}
-    pairs = [(index[e.u], index[e.v]) for e in g.edges]
-    return (g.n_vertices, canonical_pairs(g.n_vertices, pairs))
+    return g.canonical[1]

@@ -21,7 +21,7 @@ from .circuits import (
     _circuit_from_walk,
     clockwise_parity,
 )
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, InputError, ResourceLimitError
 from .graphs import Multigraph, Orientation
 from .solver import IntractableCertificate, ParityAssignment, solve_circuits
 
@@ -32,7 +32,11 @@ def enumerate_perfect_matchings(
     """All perfect matchings as edge-id sets, deterministic order.
 
     Odd vertex counts give the empty tuple; loops never participate.
+    More than ``cap`` matchings raise ResourceLimitError, and a cap below 1
+    raises InputError.
     """
+    if cap <= 0:
+        raise InputError("circuit cap must be positive")
     if g.n_vertices % 2:
         return ()
     out: list[frozenset[int]] = []

@@ -4,10 +4,11 @@ subdivision, splitting detection, circuit lifting, induced assignments.
 Contracting the two edges at a degree-2 vertex is the inverse of an even
 vertex splitting.  ``splitting_traces`` is the one search for chains of
 such contractions: breadth-first, children in ascending vertex order, so
-each base gets its lexicographically least trace.  It merges a state into
-an earlier one with the same ``_graph_invariant`` that is isomorphic to
-it (equal, above ISO_VERTEX_LIMIT vertices), and refuses inputs over
-SPLITTING_VERTEX_LIMIT vertices with CapabilityError before any work.
+each base gets its lexicographically least trace.  States and bases are
+compared by ``canonical_key`` alone, at every size: a state is dropped
+when an earlier one has its key, and it matches a base with the same
+key.  Inputs over SPLITTING_VERTEX_LIMIT vertices raise CapabilityError
+before any work.
 ``subdivision_trace`` needs no search: it walks the degree-2 chains down
 to one or two edges each, and for a base of maximum degree three gives
 the search's trace.
@@ -33,7 +34,7 @@ from .circuits import (
     even_circuits,
 )
 from .errors import CapabilityError, InputError
-from .graphs import ISO_VERTEX_LIMIT, ContractionMap, Multigraph, _pair_multiplicities, find_isomorphism
+from .graphs import ContractionMap, Multigraph, canonical_key
 from .solver import ParityAssignment
 
 SPLITTING_VERTEX_LIMIT = 14
@@ -128,17 +129,6 @@ def subdivide_edge(g: Multigraph, eid: int, length: int) -> Multigraph:
     return Multigraph.build(list(g.vertex_ids) + path[1:-1], edges)
 
 
-def _graph_invariant(g: Multigraph) -> tuple:
-    mult = _pair_multiplicities(g)
-    return (
-        g.n_vertices,
-        g.n_edges,
-        sum(m for (u, v), m in mult.items() if u == v),
-        tuple(sorted(g.degree(v) for v in g.vertex_ids)),
-        tuple(sorted(mult.values())),
-    )
-
-
 def splitting_traces(
     h: Multigraph, bases: Sequence[Multigraph]
 ) -> list[Optional[SplittingTrace]]:
@@ -149,10 +139,12 @@ def splitting_traces(
     base.  Children are generated in ascending vertex order, so the first
     trace found per base is its lexicographically least step sequence.
     Isomorphic states have the same future, so a state is dropped when an
-    earlier one in its ``_graph_invariant`` bucket matches it: by
-    ``find_isomorphism`` up to ISO_VERTEX_LIMIT vertices, by equality
-    above.  Inputs over SPLITTING_VERTEX_LIMIT vertices raise
-    CapabilityError before any work.
+    earlier one has its ``canonical_key``; a state matches a base when
+    their keys are equal.  Isomorphic states sit at the same depth, and
+    the earlier one's descendants come first at every level, so dropping
+    the later one loses no first trace.  Inputs over
+    SPLITTING_VERTEX_LIMIT vertices raise CapabilityError before any
+    work.
     """
     if h.n_vertices > SPLITTING_VERTEX_LIMIT:
         raise CapabilityError(
@@ -169,25 +161,13 @@ def splitting_traces(
         return found
     todo = sum(len(ids) for ids in by_size.values())
     min_edges = min(by_size)
-    seen: dict[tuple, list[Multigraph]] = {}
-
-    def register(g: Multigraph) -> bool:
-        bucket = seen.setdefault(_graph_invariant(g), [])
-        if g.n_vertices > ISO_VERTEX_LIMIT:
-            if g in bucket:
-                return False
-        elif any(find_isomorphism(g, other) is not None for other in bucket):
-            return False
-        bucket.append(g)
-        return True
-
-    register(h)
+    seen = {canonical_key(h)}
     frontier: list[tuple[Multigraph, tuple[Step, ...]]] = [(h, ())]
     while frontier:
         next_frontier = []
         for g, steps in frontier:
             for i in by_size.get(g.n_edges, ()):
-                if found[i] is None and find_isomorphism(g, bases[i]) is not None:
+                if found[i] is None and canonical_key(g) == canonical_key(bases[i]):
                     found[i] = SplittingTrace(h, g, steps)
                     todo -= 1
             if not todo:
@@ -196,7 +176,9 @@ def splitting_traces(
                 continue
             for v in degree2_options(g):
                 child, _ = contract_degree2_pair(g, v)
-                if register(child):
+                key = canonical_key(child)
+                if key not in seen:
+                    seen.add(key)
                     inc = g.incidence[v]
                     step = Degree2Contraction(v, (inc[0].id, inc[1].id))
                     next_frontier.append((child, steps + (step,)))

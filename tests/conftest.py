@@ -12,13 +12,12 @@ from paritygraph.catalog import EVEN_CIRCUIT_COUNT, WITNESS_BASES, base_graph
 from paritygraph.circuits import Circuit, circuit_from_edges
 from paritygraph.errors import CapabilityError, InputError
 from paritygraph.gf2 import Gf2Matrix
-from paritygraph.graphs import find_isomorphism
+from paritygraph.graphs import ISO_VERTEX_LIMIT
 from paritygraph.pfaffian import enumerate_perfect_matchings
 from paritygraph.transforms import (
     SPLITTING_VERTEX_LIMIT,
     Degree2Contraction,
     SplittingTrace,
-    _graph_invariant,
     apply_step,
     contract_degree2_pair,
     degree2_options,
@@ -154,6 +153,87 @@ def reversed_circuit(c: Circuit) -> Circuit:
 
 
 # -- independent oracles -------------------------------------------------
+
+
+def _pair_multiplicities(g: Multigraph) -> dict[tuple[int, int], int]:
+    mult: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        key = (e.u, e.v)
+        mult[key] = mult.get(key, 0) + 1
+    return mult
+
+
+def _vertex_signature(g: Multigraph, mult) -> dict[int, tuple]:
+    sig = {}
+    for v in g.vertex_ids:
+        loops = mult.get((v, v), 0)
+        to_neighbors = sorted(
+            m for (a, b), m in mult.items() if a != b and (a == v or b == v)
+        )
+        sig[v] = (g.degree(v), loops, tuple(to_neighbors))
+    return sig
+
+
+def isomorphism_by_backtracking(g1: Multigraph, g2: Multigraph):
+    """find_isomorphism as it was before canonical labelling: exhaustive
+    backtracking with degree-signature pruning, up to ISO_VERTEX_LIMIT
+    vertices."""
+    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+        return None
+    if g1.n_vertices > ISO_VERTEX_LIMIT:
+        raise CapabilityError(
+            f"isomorphism supported up to {ISO_VERTEX_LIMIT} vertices"
+        )
+    m1, m2 = _pair_multiplicities(g1), _pair_multiplicities(g2)
+    s1, s2 = _vertex_signature(g1, m1), _vertex_signature(g2, m2)
+    if sorted(s1.values()) != sorted(s2.values()):
+        return None
+
+    vs1 = sorted(g1.vertex_ids, key=lambda v: (s1[v], v))
+    candidates = {v: [w for w in g2.vertex_ids if s2[w] == s1[v]] for v in vs1}
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == len(vs1):
+            return True
+        v = vs1[i]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            ok = True
+            if m1.get((v, v), 0) != m2.get((w, w), 0):
+                ok = False
+            if ok:
+                for v2, w2 in mapping.items():
+                    a, b = (v, v2) if v <= v2 else (v2, v)
+                    c, d = (w, w2) if w <= w2 else (w2, w)
+                    if m1.get((a, b), 0) != m2.get((c, d), 0):
+                        ok = False
+                        break
+            if ok:
+                mapping[v] = w
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                del mapping[v]
+                used.remove(w)
+        return False
+
+    if extend(0):
+        return dict(mapping)
+    return None
+
+
+def _graph_invariant(g: Multigraph) -> tuple:
+    mult = _pair_multiplicities(g)
+    return (
+        g.n_vertices,
+        g.n_edges,
+        sum(m for (u, v), m in mult.items() if u == v),
+        tuple(sorted(g.degree(v) for v in g.vertex_ids)),
+        tuple(sorted(mult.values())),
+    )
 
 
 def circuits_by_brute_force(g: Multigraph) -> set[frozenset[int]]:
@@ -296,11 +376,11 @@ def splitting_by_dfs(h: Multigraph, b: Multigraph, vertex_limit: int = SPLITTING
     def same(g1: Multigraph, g2: Multigraph) -> bool:
         if g1.n_vertices > 12 or g2.n_vertices > 12:
             return g1 == g2
-        return find_isomorphism(g1, g2) is not None
+        return isomorphism_by_backtracking(g1, g2) is not None
 
     def search(g: Multigraph, steps: list):
         if g.n_edges == b.n_edges:
-            if _graph_invariant(g) == target_inv and find_isomorphism(g, b):
+            if _graph_invariant(g) == target_inv and isomorphism_by_backtracking(g, b):
                 return tuple(steps)
             return None
         if any(same(g, other) for other in dead.get(_graph_invariant(g), [])):
@@ -343,7 +423,7 @@ def splitting_by_bfs(h: Multigraph, bases) -> dict:
 
     def register(g: Multigraph) -> bool:
         bucket = seen.setdefault(_graph_invariant(g), [])
-        if any(find_isomorphism(g, other) is not None for other in bucket):
+        if any(isomorphism_by_backtracking(g, other) is not None for other in bucket):
             return False
         bucket.append(g)
         return True
@@ -355,7 +435,8 @@ def splitting_by_bfs(h: Multigraph, bases) -> dict:
         for g, steps in frontier:
             for name in applicable:
                 b = base_graph(name)
-                if b.n_edges == g.n_edges and name not in found and find_isomorphism(g, b):
+                if (b.n_edges == g.n_edges and name not in found
+                        and isomorphism_by_backtracking(g, b)):
                     found[name] = SplittingTrace(h, g, steps)
             if g.n_edges - 2 < min_edges:
                 continue
@@ -505,7 +586,7 @@ def subdivision_scan_without_skips(g: Multigraph, bases, j, budget: int, cap: in
         trace = subdivision_trace(h)
         return [
             (name, trace) for name in bases
-            if find_isomorphism(trace.to_graph, base_graph(name)) is not None
+            if isomorphism_by_backtracking(trace.to_graph, base_graph(name)) is not None
         ]
 
     return scanner._first_triggered(candidates_without_skips(g, bases, budget, cap, matches), j)

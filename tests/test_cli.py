@@ -159,6 +159,18 @@ def test_scan_budget_below_one_exits_2(files, capsys, budget):
         assert (code, out, err) == (2, "", "error: scan budget must be positive\n")
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_circuit_cap_below_one_exits_2(files, capsys, cap):
+    # decompose once printed NOT-EVEN-CIRCUIT-CONNECTED and exited 1, and
+    # pfaffian reported "more than 0 perfect matchings"
+    g = files("g.graph", SQUARE_TEXT)
+    a = files("a.j", "j-all odd\n")
+    for argv in (("check", g, a), ("scan", g, a), ("scan", g, "--all-odd"),
+                 ("decompose", g), ("pfaffian", g)):
+        code, out, err = run(capsys, "--max-circuits", cap, *argv)
+        assert (code, out, err) == (2, "", "error: circuit cap must be positive\n")
+
+
 def test_decompose_k23(files, capsys):
     g = files("g.graph", K23_TEXT)
     code, out, _ = run(capsys, "decompose", g, "--validate")

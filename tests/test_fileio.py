@@ -49,6 +49,13 @@ def test_parse_reports_line_numbers():
     assert "line 6" in str(exc.value)
 
 
+def test_parse_rejects_a_second_header():
+    # the later header once won silently: this parsed as a triangle
+    text = "p parity-graph 4 4\np parity-graph 3 3\ne 1 1 2\ne 2 2 3\ne 3 1 3\n"
+    with pytest.raises(InputError, match="line 2: a second 'p parity-graph' header"):
+        parse_graph(text)
+
+
 def test_parse_requires_header():
     with pytest.raises(InputError):
         parse_graph("e 1 1 2\n")

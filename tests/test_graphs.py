@@ -1,12 +1,23 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from paritygraph import Multigraph, find_isomorphism, is_bipartite, isomorphic
 from paritygraph.errors import CapabilityError, InputError
+from paritygraph.corpus import connected_multigraphs
 from paritygraph.graphs import ISO_VERTEX_LIMIT
 
-from conftest import k23, k4, triangle, triple_edge, two_connected_by_brute_force
+from conftest import (
+    isomorphism_by_backtracking,
+    k23,
+    k4,
+    relabelled,
+    triangle,
+    triple_edge,
+    two_connected_by_brute_force,
+)
 
 
 def test_build_rejects_duplicate_ids():
@@ -153,3 +164,37 @@ def test_isomorphism_size_guard():
     big = Multigraph.from_pairs([(i, i + 1) for i in range(1, 14)])
     with pytest.raises(CapabilityError):
         isomorphic(big, big)
+
+
+def _multiplicities(g: Multigraph, mapping=None) -> Counter:
+    """Edge count per unordered vertex pair, loops included, after
+    renaming the vertices by ``mapping``."""
+    out: Counter = Counter()
+    for e in g.edges:
+        u, v = (mapping[e.u], mapping[e.v]) if mapping else (e.u, e.v)
+        out[min(u, v), max(u, v)] += 1
+    return out
+
+
+def test_find_isomorphism_matches_the_backtracking_oracle():
+    # every pair within each (n, m) class, each graph also under seeded
+    # negative and sparse vertex and edge ids
+    rng = random.Random(15)
+    classes: dict[tuple[int, int], list[Multigraph]] = {}
+    for g in connected_multigraphs(4, 6):
+        copy = relabelled(g, rng.sample(range(-40, 40, 3), g.n_vertices),
+                          rng.sample(range(-90, 90, 7), g.n_edges))
+        classes.setdefault((g.n_vertices, g.n_edges), []).extend([g, copy])
+    pairs = matched = 0
+    for members in classes.values():
+        for g1, g2 in itertools.combinations_with_replacement(members, 2):
+            m = find_isomorphism(g1, g2)
+            assert (m is None) == (isomorphism_by_backtracking(g1, g2) is None)
+            assert isomorphic(g1, g2) == (m is not None)
+            pairs += 1
+            if m is not None:
+                assert sorted(m) == list(g1.vertex_ids)
+                assert sorted(m.values()) == list(g2.vertex_ids)
+                assert _multiplicities(g1, m) == _multiplicities(g2)
+                matched += 1
+    assert (pairs, matched) == (31909, 849)  # 283 graphs, 3 pairs each

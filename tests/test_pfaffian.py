@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from paritygraph import Multigraph, Orientation, Parity, clockwise_parity
-from paritygraph.errors import ContractError
+from paritygraph.errors import ContractError, InputError
 from paritygraph.fileio import emit_certificate_block
 from paritygraph.pfaffian import (
     alternating_circuits,
@@ -38,6 +38,13 @@ def test_matchings_grid_2x3():
 
 def test_matchings_odd_vertex_count():
     assert enumerate_perfect_matchings(triangle()) == ()
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_matchings_reject_a_cap_below_one(cap):
+    for g in (square(), triangle()):
+        with pytest.raises(InputError, match="circuit cap must be positive"):
+            enumerate_perfect_matchings(g, cap)
 
 
 def test_matchings_ignore_loops():
