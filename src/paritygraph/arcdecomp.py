@@ -148,20 +148,19 @@ def decompose(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> ArcDecomposition
         )
     evens = even_circuits(g, cap)
     all_edges = g.edge_id_set
-    bipartite, _ = is_bipartite(g)
 
-    def greedy(stages, adjunctions, allow_two: bool):
+    def greedy(stages, adjunctions):
         while stages[-1] != all_edges:
             h = stages[-1]
             c, arcs = find_adjunction(g, h, cap, _evens=evens)
-            if len(arcs) == 2 and not allow_two:
+            if len(arcs) == 2:
                 raise ContractError("needed a second 2-arc adjunction")
             stages.append(h | c.edge_set)
             adjunctions.append(Adjunction(c, arcs))
         return ArcDecomposition(tuple(stages), tuple(adjunctions))
 
-    if bipartite:
-        return greedy([evens[0].edge_set], [], allow_two=False)
+    if is_bipartite(g):
+        return greedy([evens[0].edge_set], [])
 
     # non-bipartite: the single 2-arc adjunction must come first
     for c0 in evens:
@@ -180,7 +179,7 @@ def decompose(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> ArcDecomposition
             stages = [c0.edge_set, grown]
             adjunctions = [Adjunction(d, arcs)]
             try:
-                return greedy(stages, adjunctions, allow_two=False)
+                return greedy(stages, adjunctions)
             except ContractError:
                 continue
     raise ContractError("no valid starting 2-arc adjunction found")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations, product
+from typing import Iterable
 
 from . import fileio
 from .circuits import Parity, enumerate_circuits, even_circuits, is_even_circuit_connected
@@ -49,6 +50,12 @@ PARITY_RULE = {
     "E1": Parity.ODD, "E2": Parity.ODD, "E3": Parity.ODD,
     "D1": Parity.ODD, "D2": Parity.ODD, "D3": Parity.ODD, "D4": Parity.ODD,
 }
+
+
+def rule_triggered(name: str, parities: Iterable[Parity]) -> bool:
+    """Whether prescribing ``parities`` to the even circuits of base
+    ``name`` triggers its ``PARITY_RULE``."""
+    return sum(1 for p in parities if p == Parity.EVEN) % 2 == PARITY_RULE[name]
 
 
 @lru_cache(maxsize=1)
@@ -99,12 +106,10 @@ def _unique_full_dependency(g: Multigraph) -> bool:
 
 def _incompatibility_pattern_matches(name: str, g: Multigraph) -> bool:
     evens = even_circuits(g)
-    rule = PARITY_RULE[name]
     for bits in product([Parity.ODD, Parity.EVEN], repeat=len(evens)):
         j = ParityAssignment.from_map(dict(zip((c.edge_set for c in evens), bits)))
         incompatible = isinstance(decide(g, j), IntractableCertificate)
-        prescribed_even = sum(1 for p in bits if p == Parity.EVEN) % 2
-        if incompatible != (Parity(prescribed_even) == rule):
+        if incompatible != rule_triggered(name, bits):
             return False
     return True
 
@@ -164,21 +169,13 @@ def catalog_selfcheck() -> SelfcheckReport:
               _incompatibility_pattern_matches(name, cat[name]))
 
     # contraction relations within the O/E families
-    o2g = cat["O2"]
-    triangle = None
-    for c in enumerate_circuits(o2g):
-        if len(c) == 3:
-            triangle = c.edge_set
-            break
-    contracted, _ = o2g.contract_edges(triangle)
-    check("contracting the triangle in O2 gives O1", isomorphic(contracted, _k23()))
-    e2g = cat["E2"]
-    for c in enumerate_circuits(e2g):
-        if len(c) == 3:
-            triangle = c.edge_set
-            break
-    contracted, _ = e2g.contract_edges(triangle)
-    check("contracting a triangle in E2 gives E1", isomorphic(contracted, cat["E1"]))
+    for name, image, label in (
+        ("O2", _k23(), "contracting the triangle in O2 gives O1"),
+        ("E2", cat["E1"], "contracting a triangle in E2 gives E1"),
+    ):
+        triangle = next(c.edge_set for c in enumerate_circuits(cat[name]) if len(c) == 3)
+        contracted, _ = cat[name].contract_edges(triangle)
+        check(label, isomorphic(contracted, image))
 
     # A-entries: each is the union of its two even circuits, is
     # even-circuit-connected and contains an odd circuit, as a first-stage
@@ -192,6 +189,6 @@ def catalog_selfcheck() -> SelfcheckReport:
         check(f"{name} is the union of its two even circuits",
               len(ev) == 2 and union == set(g.edge_id_set))
         check(f"{name} is even-circuit-connected and non-bipartite",
-              is_even_circuit_connected(g) and not is_bipartite(g)[0])
+              is_even_circuit_connected(g) and not is_bipartite(g))
 
     return SelfcheckReport(tuple(checks))

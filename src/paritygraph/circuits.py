@@ -45,10 +45,6 @@ class Circuit:
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edge_ids)
 
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.sense)
-
 
 def _circuit_from_walk(verts: Sequence[int], eids: Sequence[int]) -> Circuit:
     """The circuit traversed by a closed walk, in its canonical sense.
@@ -196,10 +192,6 @@ def even_circuit_connectivity_witness(
     if uncovered:
         e = min(uncovered)
         side = frozenset([e])
-        if len(all_ids) == 1:
-            # single-edge graph: the definition still rejects it, and the
-            # degenerate bipartition has an empty complement
-            return side, frozenset()
         return side, frozenset(all_ids - side)
 
     parent = {i: i for i in all_ids}

@@ -41,7 +41,6 @@ from .solver import (
     decide,
     verify_orientation,
 )
-from .transforms import Degree2Contraction
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -50,7 +49,12 @@ EXIT_ERROR = 2
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -59,6 +63,8 @@ def _load_graph(path: str) -> Multigraph:
 
 def _load_assignment(path: str, g: Multigraph, default: Optional[str], cap: int) -> ParityAssignment:
     j = fileio.parse_assignment(_read(path))
+    if j.kind != "explicit" and default is not None:
+        raise InputError(f"{path}: a j-all assignment cannot be combined with --default-parity")
     if j.kind == "explicit":
         for key in j.explicit:
             c = circuit_from_edges(g, key)  # InputError when not a circuit
@@ -105,15 +111,9 @@ def _witness_lines(w) -> str:
             f"w-odd-contraction {len(w.odd_circuit_contracted)} "
             + " ".join(str(i) for i in sorted(w.odd_circuit_contracted))
         )
-    for step in w.splitting_trace.steps:
-        if isinstance(step, Degree2Contraction):
-            e, f = step.edge_pair
-            lines.append(f"w-step contract-degree2 {step.vertex} {e} {f}")
-        else:
-            lines.append(
-                "w-step contract-odd-circuit "
-                + " ".join(str(i) for i in sorted(step.edge_ids))
-            )
+    for step in w.splitting_trace.steps:  # degree-2 contractions only
+        e, f = step.edge_pair
+        lines.append(f"w-step contract-degree2 {step.vertex} {e} {f}")
     for edge_set, parity in w.circuit_parities:
         lines.append(
             f"w-circuit {parity} {len(edge_set)} "

@@ -3,10 +3,8 @@ random ones.
 
 The exhaustive generator produces every connected multigraph (loops and
 parallel edges included) up to isomorphism within the given vertex and
-edge bounds, by canonical augmentation from spanning trees.
-
-Isomorphism classes are told apart by `canonical_key`, the exact
-partition-refinement key that lives in `graphs` and is re-exported here.
+edge bounds, by canonical augmentation from spanning trees.  Isomorphism
+classes are told apart by the exact key of `graphs.canonical_labelling`.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InputError
-from .graphs import GraphKey, Multigraph, Pairs, canonical_key, canonical_labelling
+from .graphs import GraphKey, Multigraph, Pairs, canonical_labelling
 
-__all__ = ["canonical_key", "connected_multigraphs", "random_connected_multigraph"]
+__all__ = ["connected_multigraphs", "random_connected_multigraph"]
 
 
 def _from_key(key: GraphKey) -> Multigraph:

@@ -101,11 +101,6 @@ def _eliminate(a: Gf2Matrix, rhs: Sequence[int] | None):
     return work, pivots
 
 
-def rank(a: Gf2Matrix) -> int:
-    _, pivots = _eliminate(a, None)
-    return len(pivots)
-
-
 def _solve(a: Gf2Matrix, b: Sequence[int]):
     """(work, solution or Inconsistency) of a.x = b; see solve."""
     if len(b) != a.n_rows:

@@ -244,22 +244,13 @@ class Orientation:
 # -- bipartiteness -----------------------------------------------------
 
 
-def is_bipartite(g: Multigraph) -> tuple[bool, Optional[frozenset[int]]]:
-    """2-colorability; when false, also return one odd circuit's edge ids."""
+def is_bipartite(g: Multigraph) -> bool:
+    """2-colorability; a graph with a loop has no 2-coloring."""
     color: dict[int, int] = {}
-    parent_edge: dict[int, Optional[Edge]] = {}
-    parent: dict[int, Optional[int]] = {}
-
-    for e in g.edges:
-        if e.is_loop:
-            return False, frozenset([e.id])
-
     for root in g.vertex_ids:
         if root in color:
             continue
         color[root] = 0
-        parent[root] = None
-        parent_edge[root] = None
         queue = [root]
         qi = 0
         while qi < len(queue):
@@ -269,38 +260,10 @@ def is_bipartite(g: Multigraph) -> tuple[bool, Optional[frozenset[int]]]:
                 x = e.other(w)
                 if x not in color:
                     color[x] = color[w] ^ 1
-                    parent[x] = w
-                    parent_edge[x] = e
                     queue.append(x)
                 elif color[x] == color[w]:
-                    witness = _odd_circuit_from_conflict(w, x, e, parent, parent_edge)
-                    return False, witness
-    return True, None
-
-
-def _odd_circuit_from_conflict(w, x, conflict_edge, parent, parent_edge) -> frozenset[int]:
-    # Both BFS-tree paths to the lowest common ancestor plus the conflict
-    # edge close an odd circuit (equal colors mean equal depth parities).
-    ancestors = {}
-    cur = w
-    depth = 0
-    while cur is not None:
-        ancestors[cur] = depth
-        cur = parent[cur]
-        depth += 1
-    cur = x
-    path_x = []
-    while cur not in ancestors:
-        path_x.append(parent_edge[cur].id)
-        cur = parent[cur]
-    lca = cur
-    edges = [conflict_edge.id]
-    cur = w
-    while cur != lca:
-        edges.append(parent_edge[cur].id)
-        cur = parent[cur]
-    edges.extend(path_x)
-    return frozenset(edges)
+                    return False
+    return True
 
 
 # -- isomorphism -------------------------------------------------------

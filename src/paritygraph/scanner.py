@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
-from .catalog import EVEN_CIRCUIT_COUNT, PARITY_RULE, WITNESS_BASES, base_graph
+from .catalog import EVEN_CIRCUIT_COUNT, WITNESS_BASES, base_graph, rule_triggered
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,
     Circuit,
@@ -266,11 +266,11 @@ def _first_triggered(
 ) -> Optional[ForbiddenWitness]:
     """The witness from the first candidate whose parity rule ``j`` triggers."""
     for cand in candidates:
-        prescribed_even = sum(1 for c in cand.lifted if j.parity_for(c) == Parity.EVEN) % 2
-        if Parity(prescribed_even) == PARITY_RULE[cand.base_name]:
-            parities = tuple((c.edge_set, j.parity_for(c)) for c in cand.lifted)
+        parities = [j.parity_for(c) for c in cand.lifted]
+        if rule_triggered(cand.base_name, parities):
+            pairs = tuple(zip((c.edge_set for c in cand.lifted), parities))
             return ForbiddenWitness(
-                cand.base_name, cand.subset, cand.odd_circuit, cand.trace, parities
+                cand.base_name, cand.subset, cand.odd_circuit, cand.trace, pairs
             )
     return None
 
@@ -349,8 +349,7 @@ def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> b
     expected = EVEN_CIRCUIT_COUNT[w.base_name]
     if len(w.circuit_parities) != expected:
         return False
-    prescribed_even = sum(1 for _, p in w.circuit_parities if p == Parity.EVEN) % 2
-    if Parity(prescribed_even) != PARITY_RULE[w.base_name]:
+    if not rule_triggered(w.base_name, (p for _, p in w.circuit_parities)):
         return False
     for edge_set, parity in w.circuit_parities:
         c = circuit_from_edges(g, edge_set)

@@ -506,6 +506,10 @@ def lift_by_cases(circuits, trace: SplittingTrace) -> list[Circuit]:
     return lifted
 
 
+def _vertices(c: Circuit) -> frozenset[int]:
+    return frozenset(v for v, _ in c.sense)
+
+
 def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) -> Circuit:
     if not c.edge_set <= g_after.edge_id_set:
         raise InputError("circuit does not live in the contracted graph")
@@ -518,7 +522,7 @@ def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) 
         a = g_before.by_id[e_id].other(step.vertex)
         b = g_before.by_id[f_id].other(step.vertex)
         merged = min(a, step.vertex, b)
-        if merged not in check.vertex_set:
+        if merged not in _vertices(check):
             return circuit_from_edges(g_before, c.edge_set)
         anchor_ends = set()
         for eid in c.edge_ids:
@@ -531,12 +535,13 @@ def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) 
 
     # an odd circuit contraction
     ring = circuit_from_edges(g_before, frozenset(step.edge_ids))
-    if min(ring.vertex_set) not in check.vertex_set:
+    ring_vertices = _vertices(ring)
+    if min(ring_vertices) not in _vertices(check):
         return circuit_from_edges(g_before, c.edge_set)
     attach = set()
     for eid in c.edge_ids:
         edge = g_before.by_id[eid]
-        attach |= {edge.u, edge.v} & ring.vertex_set
+        attach |= {edge.u, edge.v} & ring_vertices
     if len(attach) <= 1:
         return circuit_from_edges(g_before, c.edge_set)
     if len(attach) > 2:

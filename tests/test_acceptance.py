@@ -204,7 +204,7 @@ def test_criterion_6_arc_decomposition(corpus, random_corpus):
         checked += 1
         d = decompose(g)
         assert validate(g, d) is None, [(e.id, e.u, e.v) for e in g.edges]
-        bip, _ = is_bipartite(g)
+        bip = is_bipartite(g)
         two_arc_stages = [i for i, a in enumerate(d.adjunctions, 1) if len(a.arcs) == 2]
         if bip:
             bip_count += 1

@@ -124,7 +124,7 @@ def test_bipartite_uses_single_arcs_only(small_corpus):
         if not is_even_circuit_connected(g):
             continue
         d = decompose(g)
-        bip, _ = is_bipartite(g)
+        bip = is_bipartite(g)
         two_arcs = [i for i, a in enumerate(d.adjunctions, 1) if len(a.arcs) == 2]
         if bip:
             assert not two_arcs

@@ -14,7 +14,7 @@ from paritygraph import (
 )
 from paritygraph.circuits import even_circuit_connectivity_witness
 from paritygraph.errors import ContractError, InputError, ResourceLimitError
-from paritygraph.gf2 import rank
+from paritygraph.gf2 import left_nullspace_basis
 from paritygraph.solver import circuit_matrix
 
 from conftest import (
@@ -148,7 +148,8 @@ def test_cycle_space_basis_sizes():
     # the enumerated circuits span the cycle space, of dimension m - n + 1
     tree = Multigraph.from_pairs([(1, 2), (2, 3), (3, 4)])
     for g, dim in ((tree, 0), (k23(), 2), (k4(), 3)):
-        assert rank(circuit_matrix(enumerate_circuits(g))[0]) == dim
+        a = circuit_matrix(enumerate_circuits(g))[0]
+        assert a.n_rows - len(left_nullspace_basis(a)) == dim
 
 
 def test_span_closure_on_k4():

@@ -150,6 +150,33 @@ def test_scan_conflicting_flags_exit_2(files, capsys, flags, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_default_parity_beside_a_j_all_file_exits_2(files, capsys, parity):
+    # check once printed the same verdict with or without the flag, and
+    # scan ignored it
+    g = files("g.graph", K23_TEXT)
+    a = files("a.j", "j-all even\n")
+    for argv in (("check", g, a), ("scan", g, a)):
+        code, out, err = run(capsys, *argv, "--default-parity", parity)
+        assert (code, out) == (2, "")
+        assert err == f"error: {a}: a j-all assignment cannot be combined with --default-parity\n"
+
+
+def test_non_utf8_files_exit_2(tmp_path, files, capsys):
+    # a graph or assignment file that is not UTF-8 once crashed with a
+    # UnicodeDecodeError traceback and exit 1, the code for a negative result
+    bad = tmp_path / "bin.graph"
+    bad.write_bytes(b"\xff\xfe" + K23_TEXT.encode("utf-16-le"))
+    bad = str(bad)
+    g = files("g.graph", K23_TEXT)
+    a = files("a.j", "j-all odd\n")
+    for argv in (("check", bad, bad), ("check", bad, a), ("check", g, bad),
+                 ("scan", g, bad), ("decompose", bad), ("pfaffian", bad)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_scan_budget_below_one_exits_2(files, capsys, budget):
     g = files("g.graph", K23_TEXT)

@@ -16,11 +16,8 @@ import pytest
 import paritygraph
 from paritygraph import Multigraph
 from paritygraph.errors import InputError
-from paritygraph.corpus import (
-    canonical_key,
-    connected_multigraphs,
-    random_connected_multigraph,
-)
+from paritygraph.corpus import connected_multigraphs, random_connected_multigraph
+from paritygraph.graphs import canonical_key
 
 from conftest import is_connected
 

@@ -4,7 +4,13 @@ from collections import Counter
 
 import pytest
 
-from paritygraph import Multigraph, find_isomorphism, is_bipartite, isomorphic
+from paritygraph import (
+    Multigraph,
+    enumerate_circuits,
+    find_isomorphism,
+    is_bipartite,
+    isomorphic,
+)
 from paritygraph.errors import CapabilityError, InputError
 from paritygraph.corpus import connected_multigraphs
 from paritygraph.graphs import ISO_VERTEX_LIMIT
@@ -93,27 +99,29 @@ def test_contract_bookkeeping_is_bijection(small_corpus):
 
 
 def test_bipartite_examples():
-    assert is_bipartite(k23()) == (True, None)
-    ok, witness = is_bipartite(k4())
-    assert not ok and len(witness) == 3
-    ok, witness = is_bipartite(triple_edge())
-    assert ok and witness is None
-
-
-def test_bipartite_witness_is_odd_circuit(small_corpus):
-    from paritygraph import circuit_from_edges
-
-    for g in small_corpus[::7]:
-        ok, witness = is_bipartite(g)
-        if not ok:
-            c = circuit_from_edges(g, witness)
-            assert len(c) % 2 == 1
+    assert is_bipartite(k23()) is True
+    assert is_bipartite(k4()) is False
+    assert is_bipartite(triple_edge()) is True
+    assert is_bipartite(triangle()) is False
+    # every component is colored: an odd circuit in a later one counts
+    square = [(1, 2), (2, 3), (3, 4), (4, 1)]
+    assert is_bipartite(Multigraph.from_pairs(square + [(5, 6), (6, 7), (7, 5)])) is False
+    assert is_bipartite(Multigraph.from_pairs(square + [(5, 6), (6, 7), (7, 8), (8, 5)])) is True
 
 
 def test_loop_breaks_bipartiteness():
-    g = Multigraph.build([1], [(1, 1, 1)])
-    ok, witness = is_bipartite(g)
-    assert not ok and witness == frozenset([1])
+    assert is_bipartite(Multigraph.build([1], [(1, 1, 1)])) is False
+    # a loop at the last vertex reached, on an otherwise bipartite graph
+    square = [(1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 1)]
+    assert is_bipartite(Multigraph.build([1, 2, 3, 4], square + [(5, 3, 3)])) is False
+    assert is_bipartite(Multigraph.build([1, 2, 3, 4], square)) is True
+
+
+def test_bipartite_iff_every_circuit_is_even():
+    # the oracle: a multigraph is 2-colorable iff it has no odd circuit
+    # (a loop is an odd circuit of length 1)
+    for g in connected_multigraphs(4, 6):
+        assert is_bipartite(g) == all(c.is_even for c in enumerate_circuits(g))
 
 
 def test_two_connected_examples():
