@@ -12,8 +12,10 @@ import argparse
 import sys
 from typing import Optional
 
+# Only what check, argument parsing and error handling need is imported
+# here; scan, decompose and pfaffian import their modules when they run,
+# so a check process neither compiles nor executes the scanner.
 from . import fileio
-from .arcdecomp import decompose, validate
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,
     Parity,
@@ -22,19 +24,6 @@ from .circuits import (
 )
 from .errors import CapabilityError, ContractError, InputError, ResourceLimitError
 from .graphs import Multigraph
-from .pfaffian import (
-    enumerate_perfect_matchings,
-    find_pfaffian_orientation,
-    kasteleyn_count,
-    verify_pfaffian,
-)
-from .scanner import (
-    DEFAULT_SCAN_BUDGET,
-    find_witness,
-    scan_all_even,
-    scan_all_odd,
-    verify_witness,
-)
 from .solver import (
     IntractableCertificate,
     ParityAssignment,
@@ -48,9 +37,11 @@ EXIT_ERROR = 2
 
 
 def _read(path: str) -> str:
+    # "utf-8", not "utf-8-sig": the latter counts a decode error's byte
+    # offset from after the BOM, so the message would point 3 bytes early
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise InputError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -123,6 +114,15 @@ def _witness_lines(w) -> str:
 
 
 def cmd_scan(args) -> int:
+    from .scanner import (
+        DEFAULT_SCAN_BUDGET,
+        find_witness,
+        scan_all_even,
+        scan_all_odd,
+        verify_witness,
+    )
+
+    budget = DEFAULT_SCAN_BUDGET if args.budget is None else args.budget
     if args.all_odd and args.all_even:
         raise InputError("scan takes at most one of --all-odd and --all-even")
     if (args.all_odd or args.all_even) and (
@@ -134,15 +134,15 @@ def cmd_scan(args) -> int:
     g = _load_graph(args.graph)
     if args.all_odd:
         j = ParityAssignment.all_odd()
-        w = scan_all_odd(g, args.budget, args.max_circuits)
+        w = scan_all_odd(g, budget, args.max_circuits)
     elif args.all_even:
         j = ParityAssignment.all_even()
-        w = scan_all_even(g, args.budget, args.max_circuits)
+        w = scan_all_even(g, budget, args.max_circuits)
     else:
         if args.assignment is None:
             raise InputError("scan needs an assignment file, --all-odd, or --all-even")
         j = _load_assignment(args.assignment, g, args.default_parity, args.max_circuits)
-        w = find_witness(g, j, args.budget, args.max_circuits)
+        w = find_witness(g, j, budget, args.max_circuits)
     if args.cross_check:
         incompatible = isinstance(decide(g, j, args.max_circuits), IntractableCertificate)
         if incompatible != (w is not None):
@@ -165,6 +165,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .arcdecomp import decompose, validate
+
     g = _load_graph(args.graph)
     try:
         d = decompose(g, args.max_circuits)
@@ -195,6 +197,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_pfaffian(args) -> int:
+    from .pfaffian import (
+        enumerate_perfect_matchings,
+        find_pfaffian_orientation,
+        kasteleyn_count,
+        verify_pfaffian,
+    )
+
     g = _load_graph(args.graph)
     result = find_pfaffian_orientation(g, args.max_circuits)
     if isinstance(result, IntractableCertificate):
@@ -238,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--all-odd", action="store_true")
     s.add_argument("--all-even", action="store_true")
     s.add_argument("--default-parity", choices=["odd", "even"])
-    s.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
+    s.add_argument("--budget", type=int)  # None: the scanner's default
     s.add_argument("--cross-check", action="store_true")
     s.add_argument("--dot", action="store_true")
     s.set_defaults(func=cmd_scan)

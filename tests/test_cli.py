@@ -1,5 +1,14 @@
+import codecs
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import paritygraph
+from paritygraph import scanner
 from paritygraph.cli import main
 from paritygraph.fileio import emit_graph
 
@@ -177,6 +186,31 @@ def test_non_utf8_files_exit_2(tmp_path, files, capsys):
         assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "{g}", "{a}"), ("scan", "{g}", "{a}", "--cross-check"),
+     ("decompose", "{g}", "--validate"), ("pfaffian", "{g}")],
+    ids=lambda argv: argv[0],
+)
+def test_files_starting_with_a_byte_order_mark_parse(tmp_path, capsys, argv):
+    # a BOM once made line 1 unparseable: "cannot parse '\ufeffp parity-graph 5 6'"
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        (tmp_path / "g.graph").write_bytes(bom + K23_TEXT.encode())
+        (tmp_path / "a.j").write_bytes(bom + b"j-all odd\n")
+        outputs.append(run(capsys, *(arg.format(g=tmp_path / "g.graph", a=tmp_path / "a.j") for arg in argv)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1) and outputs[0][2] == ""
+
+
+def test_decode_error_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    bad = tmp_path / "g.graph"
+    bad.write_bytes(codecs.BOM_UTF8 + b"p parity\xff\n")
+    code, out, err = run(capsys, "decompose", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 11)\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_scan_budget_below_one_exits_2(files, capsys, budget):
     g = files("g.graph", K23_TEXT)
@@ -317,3 +351,67 @@ def test_check_and_pfaffian_stdout_on_negative_ids_is_pinned(
     a = files("a.j", "j-all odd\n")
     assert run(capsys, "check", g, a)[:2] == (1, check_out)
     assert run(capsys, "pfaffian", g)[:2] == (pfaffian_code, pfaffian_out)
+
+
+def test_scan_without_budget_passes_the_scanners_default(files, capsys, monkeypatch):
+    seen = []
+
+    def recorder(name):
+        original = getattr(scanner, name)
+
+        def record(*args, **kwargs):
+            seen.append((name, inspect.signature(original).bind(*args, **kwargs).arguments["budget"]))
+            return None
+
+        return record
+
+    for name in ("scan_all_odd", "scan_all_even", "find_witness"):
+        monkeypatch.setattr(scanner, name, recorder(name))
+    g = files("g.graph", K23_TEXT)
+    a = files("a.j", "j-all odd\n")
+    for flags, budget in (((), scanner.DEFAULT_SCAN_BUDGET), (("--budget", "7"), 7)):
+        for argv, name in (((a,), "find_witness"), (("--all-odd",), "scan_all_odd"),
+                           (("--all-even",), "scan_all_even")):
+            seen.clear()
+            assert run(capsys, "scan", g, *argv, *flags)[:2] == (1, "NO-WITNESS\n")
+            assert seen == [(name, budget)]
+
+
+_MODULES_CHILD = """
+import contextlib, io, sys
+from paritygraph.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("paritygraph.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (("check", "{fixtures}/O1.graph", "{a}"), "solver",
+         ("scanner", "catalog", "transforms", "arcdecomp", "pfaffian")),
+        (("decompose", "{fixtures}/A2.graph", "--validate"), "arcdecomp",
+         ("scanner", "catalog", "transforms", "pfaffian")),
+        (("pfaffian", "{fixtures}/O1.graph"), "pfaffian",
+         ("scanner", "catalog", "transforms", "arcdecomp")),
+        (("scan", "{fixtures}/O1.graph", "--all-odd"), "scanner", ("arcdecomp", "pfaffian")),
+    ],
+    ids=["check", "decompose", "pfaffian", "scan"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, loaded, absent):
+    # a check process once compiled and ran the scanner, catalog, transforms,
+    # arcdecomp and pfaffian modules, which it never calls
+    a = tmp_path / "a.j"
+    a.write_text("j-all odd\n")
+    fixtures = Path(paritygraph.__file__).parent / "fixtures"
+    env = dict(os.environ, PYTHONPATH=str(fixtures.parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, *(arg.format(fixtures=fixtures, a=a) for arg in argv)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, *modules = proc.stdout.decode().split()
+    assert status in ("0", "1")
+    assert f"paritygraph.{loaded}" in modules
+    assert not {f"paritygraph.{name}" for name in absent} & set(modules)
