@@ -6,12 +6,19 @@ even-circuit-connected, with every even circuit of a stage that meets the
 new edges containing all of them.  Bipartite graphs decompose with 1-arc
 adjunctions only; non-bipartite ones need exactly one 2-arc adjunction,
 placed at stage 1.
+
+An arc of a circuit over a stage is a maximal run of the circuit's edges
+outside the stage whose interior vertices avoid the stage: walking the
+circuit from the end of its first run of stage edges, every stage vertex
+ends the arc in progress.  One walk, ``_adjunctions``, lists the even
+circuits that adjoin a given number of arcs to a stage; ``find_adjunction``
+and both phases of ``decompose`` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,
@@ -27,7 +34,6 @@ from .graphs import Multigraph, is_bipartite
 
 @dataclass(frozen=True)
 class Arc:
-    vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
 
 
@@ -43,50 +49,29 @@ class ArcDecomposition:
     adjunctions: tuple[Adjunction, ...]
 
 
-# -- arcs of a circuit relative to a stage ------------------------------
-
-
 def circuit_arcs(g: Multigraph, c: Circuit, h_edges: frozenset[int]) -> tuple[Arc, ...]:
-    """Maximal subpaths of ``c`` outside ``h_edges`` whose interiors avoid
-    the stage's vertices."""
-    vh = set()
-    for eid in h_edges:
-        e = g.by_id[eid]
-        vh.add(e.u)
-        vh.add(e.v)
-    n = len(c.sense)
-    in_h = [c.sense[i][1] in h_edges for i in range(n)]
+    """The arcs of ``c`` over the stage ``h_edges``, in the circuit's sense
+    from the end of its first run of stage edges."""
+    unknown = h_edges - g.edge_id_set
+    if unknown:
+        raise InputError(f"unknown edge ids in stage: {sorted(unknown)}")
+    stage_edges = [g.by_id[eid] for eid in h_edges]
+    stage_vertices = {e.u for e in stage_edges} | {e.v for e in stage_edges}
+    in_h = [eid in h_edges for _, eid in c.sense]
     if all(in_h):
         return ()
     if not any(in_h):
         raise InputError("circuit does not meet the stage")
-    start = next(i for i in range(n) if in_h[i] and not in_h[(i + 1) % n])
-    arcs = []
-    i = (start + 1) % n
-    cur_vertices: list[int] = []
-    cur_edges: list[int] = []
-    while True:
-        v, eid = c.sense[i]
-        if eid in h_edges:
-            if cur_edges:
-                arcs.append(Arc(tuple(cur_vertices + [v]), tuple(cur_edges)))
-                cur_vertices, cur_edges = [], []
-        else:
-            if cur_edges and v in vh:
-                # interior vertex on the stage splits the run
-                arcs.append(Arc(tuple(cur_vertices + [v]), tuple(cur_edges)))
-                cur_vertices, cur_edges = [], []
-            cur_vertices.append(v)
-            cur_edges.append(eid)
-        i = (i + 1) % n
-        if i == (start + 1) % n:
-            break
-    if cur_edges:
-        arcs.append(Arc(tuple(cur_vertices + [c.sense[(start + 1) % n][0]]), tuple(cur_edges)))
+    n = len(in_h)
+    start = next(i for i in range(n) if in_h[i] and not in_h[(i + 1) % n]) + 1
+    arcs, run = [], []
+    for v, eid in c.sense[start:] + c.sense[:start]:
+        if run and v in stage_vertices:
+            arcs.append(Arc(tuple(run)))
+            run = []
+        if eid not in h_edges:
+            run.append(eid)
     return tuple(arcs)
-
-
-# -- decomposition ------------------------------------------------------
 
 
 def _containment_ok(
@@ -105,40 +90,40 @@ def _containment_ok(
     return True
 
 
-def find_adjunction(
-    g: Multigraph,
-    h_edges: frozenset[int],
-    cap: int = DEFAULT_CIRCUIT_CAP,
-    _evens: Optional[Sequence[Circuit]] = None,
-) -> tuple[Circuit, tuple[Arc, ...]]:
-    """The next adjunction circuit for the stage, preferring one arc.
+def _adjunctions(
+    g: Multigraph, stage: frozenset[int], evens: Sequence[Circuit], n_arcs: int
+) -> Iterator[tuple[Circuit, tuple[Arc, ...]]]:
+    """Each circuit of ``evens``, in order, that meets the stage, adds
+    edges to it and has ``n_arcs`` arcs over it; with two arcs, only those
+    whose grown stage keeps the containment property."""
+    for c in evens:
+        new = c.edge_set - stage
+        if not new or new == c.edge_set:
+            continue
+        arcs = circuit_arcs(g, c, stage)
+        if len(arcs) == n_arcs and (n_arcs == 1 or _containment_ok(new, stage | c.edge_set, evens)):
+            yield c, arcs
 
-    Candidates are even circuits in increasing length; a candidate is
-    accepted when it meets the stage, contributes one or two arcs, and the
-    grown stage keeps the whole-new-edge-set containment property.
-    """
+
+def find_adjunction(
+    g: Multigraph, h_edges: frozenset[int], cap: int = DEFAULT_CIRCUIT_CAP
+) -> tuple[Circuit, tuple[Arc, ...]]:
+    """The first even circuit, in increasing length, that adjoins one arc
+    to the stage, else the first that adjoins two."""
     h_edges = frozenset(h_edges)
     if not h_edges or not h_edges < g.edge_id_set:
         raise ContractError("stage must be a nonempty proper edge subset")
-    evens = _evens if _evens is not None else even_circuits(g, cap)
-    best_two: Optional[tuple[Circuit, tuple[Arc, ...]]] = None
-    for c in evens:
-        new = c.edge_set - h_edges
-        if not new or not (c.edge_set & h_edges):
-            continue
-        arcs = circuit_arcs(g, c, h_edges)
-        if len(arcs) == 1:
-            return c, arcs
-        if len(arcs) == 2 and best_two is None:
-            if _containment_ok(new, h_edges | c.edge_set, evens):
-                best_two = (c, arcs)
-    if best_two is not None:
-        return best_two
+    evens = even_circuits(g, cap)
+    for n_arcs in (1, 2):
+        for found in _adjunctions(g, h_edges, evens, n_arcs):
+            return found
     raise ContractError("no 1- or 2-arc adjunction extends the stage")
 
 
 def decompose(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> ArcDecomposition:
-    """An arc decomposition with any 2-arc adjunction at stage 1 only."""
+    """An arc decomposition with any 2-arc adjunction at stage 1 only: the
+    first 1-arc adjunction at every other stage, after, for a non-bipartite
+    graph, the first start circuit and 2-arc adjunction that lead there."""
     witness = even_circuit_connectivity_witness(g, cap)
     if witness is not None:
         side1, side2 = witness
@@ -147,39 +132,22 @@ def decompose(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP) -> ArcDecomposition
             f"the bipartition {sorted(side1)} | {sorted(side2)}"
         )
     evens = even_circuits(g, cap)
-    all_edges = g.edge_id_set
 
     def greedy(stages, adjunctions):
-        while stages[-1] != all_edges:
-            h = stages[-1]
-            c, arcs = find_adjunction(g, h, cap, _evens=evens)
-            if len(arcs) == 2:
-                raise ContractError("needed a second 2-arc adjunction")
-            stages.append(h | c.edge_set)
+        while stages[-1] != g.edge_id_set:
+            c, arcs = next(_adjunctions(g, stages[-1], evens, 1), (None, None))
+            if c is None:
+                raise ContractError("no 1-arc adjunction extends the stage")
+            stages.append(stages[-1] | c.edge_set)
             adjunctions.append(Adjunction(c, arcs))
         return ArcDecomposition(tuple(stages), tuple(adjunctions))
 
     if is_bipartite(g):
         return greedy([evens[0].edge_set], [])
-
-    # non-bipartite: the single 2-arc adjunction must come first
     for c0 in evens:
-        for d in evens:
-            if d.edge_set == c0.edge_set:
-                continue
-            new = d.edge_set - c0.edge_set
-            if not new or not (d.edge_set & c0.edge_set):
-                continue
-            arcs = circuit_arcs(g, d, c0.edge_set)
-            if len(arcs) != 2:
-                continue
-            grown = c0.edge_set | d.edge_set
-            if not _containment_ok(new, grown, evens):
-                continue
-            stages = [c0.edge_set, grown]
-            adjunctions = [Adjunction(d, arcs)]
+        for d, arcs in _adjunctions(g, c0.edge_set, evens, 2):
             try:
-                return greedy(stages, adjunctions)
+                return greedy([c0.edge_set, c0.edge_set | d.edge_set], [Adjunction(d, arcs)])
             except ContractError:
                 continue
     raise ContractError("no valid starting 2-arc adjunction found")

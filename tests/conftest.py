@@ -9,10 +9,15 @@ import pytest
 from paritygraph import Multigraph, Orientation, clockwise_parity, even_circuits
 from paritygraph import scanner
 from paritygraph.catalog import EVEN_CIRCUIT_COUNT, WITNESS_BASES, base_graph
-from paritygraph.circuits import Circuit, circuit_from_edges
-from paritygraph.errors import CapabilityError, InputError
+from paritygraph.circuits import (
+    DEFAULT_CIRCUIT_CAP,
+    Circuit,
+    circuit_from_edges,
+    even_circuit_connectivity_witness,
+)
+from paritygraph.errors import CapabilityError, ContractError, InputError
 from paritygraph.gf2 import Gf2Matrix
-from paritygraph.graphs import ISO_VERTEX_LIMIT
+from paritygraph.graphs import ISO_VERTEX_LIMIT, is_bipartite
 from paritygraph.pfaffian import enumerate_perfect_matchings
 from paritygraph.transforms import (
     SPLITTING_VERTEX_LIMIT,
@@ -595,6 +600,112 @@ def subdivision_scan_without_skips(g: Multigraph, bases, j, budget: int, cap: in
         ]
 
     return scanner._first_triggered(candidates_without_skips(g, bases, budget, cap, matches), j)
+
+
+def arcs_by_two_branches(g: Multigraph, c: Circuit, h_edges) -> tuple[tuple[int, ...], ...]:
+    """``arcdecomp.circuit_arcs`` as a two-branch walk, arcs as edge ids:
+    a stage edge closes the arc in progress, and a stage vertex in front
+    of an edge outside the stage splits it."""
+    vh = set()
+    for eid in h_edges:
+        e = g.by_id[eid]
+        vh.add(e.u)
+        vh.add(e.v)
+    n = len(c.sense)
+    in_h = [c.sense[i][1] in h_edges for i in range(n)]
+    if all(in_h):
+        return ()
+    if not any(in_h):
+        raise InputError("circuit does not meet the stage")
+    start = next(i for i in range(n) if in_h[i] and not in_h[(i + 1) % n])
+    arcs = []
+    i = (start + 1) % n
+    cur: list[int] = []
+    while True:
+        v, eid = c.sense[i]
+        if eid in h_edges:
+            if cur:
+                arcs.append(tuple(cur))
+                cur = []
+        else:
+            if cur and v in vh:
+                arcs.append(tuple(cur))
+                cur = []
+            cur.append(eid)
+        i = (i + 1) % n
+        if i == (start + 1) % n:
+            break
+    if cur:
+        arcs.append(tuple(cur))
+    return tuple(arcs)
+
+
+def _containment_by_scan(new_edges, grown, evens) -> bool:
+    for c in evens:
+        if c.edge_set <= grown and c.edge_set & new_edges and not new_edges <= c.edge_set:
+            return False
+    return True
+
+
+def adjunction_by_one_pass(g: Multigraph, h_edges, evens):
+    """``arcdecomp.find_adjunction`` in one pass over ``evens``: the first
+    1-arc circuit, else the first 2-arc one kept aside on the way."""
+    h_edges = frozenset(h_edges)
+    if not h_edges or not h_edges < g.edge_id_set:
+        raise ContractError("stage must be a nonempty proper edge subset")
+    best_two = None
+    for c in evens:
+        new = c.edge_set - h_edges
+        if not new or not (c.edge_set & h_edges):
+            continue
+        arcs = arcs_by_two_branches(g, c, h_edges)
+        if len(arcs) == 1:
+            return c, arcs
+        if len(arcs) == 2 and best_two is None:
+            if _containment_by_scan(new, h_edges | c.edge_set, evens):
+                best_two = (c, arcs)
+    if best_two is not None:
+        return best_two
+    raise ContractError("no 1- or 2-arc adjunction extends the stage")
+
+
+def decompose_by_inline_search(g: Multigraph, cap: int = DEFAULT_CIRCUIT_CAP):
+    """``arcdecomp.decompose`` with the 2-arc start tested inline and each
+    later stage grown by ``adjunction_by_one_pass``: (stages, adjunctions
+    as (circuit, arcs as edge ids))."""
+    witness = even_circuit_connectivity_witness(g, cap)
+    if witness is not None:
+        side1, side2 = witness
+        raise InputError(
+            "graph is not even-circuit-connected: no even circuit crosses "
+            f"the bipartition {sorted(side1)} | {sorted(side2)}"
+        )
+    evens = even_circuits(g, cap)
+
+    def greedy(stages, adjunctions):
+        while stages[-1] != g.edge_id_set:
+            c, arcs = adjunction_by_one_pass(g, stages[-1], evens)
+            if len(arcs) == 2:
+                raise ContractError("needed a second 2-arc adjunction")
+            stages.append(stages[-1] | c.edge_set)
+            adjunctions.append((c, arcs))
+        return tuple(stages), tuple(adjunctions)
+
+    if is_bipartite(g):
+        return greedy([evens[0].edge_set], [])
+    for c0 in evens:
+        for d in evens:
+            new = d.edge_set - c0.edge_set
+            if not new or not (d.edge_set & c0.edge_set):
+                continue
+            arcs = arcs_by_two_branches(g, d, c0.edge_set)
+            if len(arcs) != 2 or not _containment_by_scan(new, c0.edge_set | d.edge_set, evens):
+                continue
+            try:
+                return greedy([c0.edge_set, c0.edge_set | d.edge_set], [(d, arcs)])
+            except ContractError:
+                continue
+    raise ContractError("no valid starting 2-arc adjunction found")
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,26 @@ from paritygraph.arcdecomp import (
     find_adjunction,
     validate,
 )
+from paritygraph.catalog import catalog
 from paritygraph.circuits import is_even_circuit_connected
-from paritygraph.errors import ContractError, InputError
+from paritygraph.corpus import connected_multigraphs
+from paritygraph.errors import CapabilityError, ContractError, InputError, ResourceLimitError
 from paritygraph.graphs import is_bipartite
 
-from conftest import k23, k4, square, triangle, triple_edge
+from conftest import (
+    adjunction_by_one_pass,
+    arcs_by_two_branches,
+    cube,
+    decompose_by_inline_search,
+    grid,
+    k23,
+    k33,
+    k4,
+    square,
+    triangle,
+    triple_edge,
+    wheel,
+)
 
 
 def test_circuit_arcs_k23():
@@ -23,6 +38,15 @@ def test_circuit_arcs_k23():
     arcs = circuit_arcs(g, other, h)
     assert len(arcs) == 1
     assert set(arcs[0].edge_ids) == {3, 6}
+
+
+def test_circuit_arcs_rejects_unknown_stage_edges():
+    g = k23()
+    c = even_circuits(g)[0]
+    with pytest.raises(InputError, match=r"unknown edge ids in stage: \[99\]"):
+        circuit_arcs(g, c, frozenset({99}))
+    with pytest.raises(InputError, match=r"unknown edge ids in stage: \[0, 99\]"):
+        circuit_arcs(g, c, frozenset({1, 0, 99}))
 
 
 def test_find_adjunction_k23_single_arc():
@@ -130,3 +154,52 @@ def test_bipartite_uses_single_arcs_only(small_corpus):
             assert not two_arcs
         else:
             assert two_arcs == [1]
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (InputError, ContractError, CapabilityError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _edge_ids(arcs):
+    return tuple(a.edge_ids for a in arcs)
+
+
+def test_one_adjunction_walk_matches_the_two_branch_oracle():
+    """decompose, find_adjunction and circuit_arcs give the stages,
+    circuits, arc edge ids and error texts of the two-branch arc walk and
+    one-pass adjunction search kept in conftest as the oracle, on the
+    5-vertex corpus, W4-W10, grids 2x2-4x5, K33, cube3 and the catalog
+    fixtures.  Every stage that is one even circuit is
+    offered to find_adjunction and, paired with every even circuit, to
+    circuit_arcs.  Grid 4x5's 1049 even circuits would make 1.1 million
+    circuit_arcs pairs, so there only every 50th stage is paired."""
+    named = [wheel(n) for n in range(4, 11)]
+    named += [grid(r, c) for r in range(2, 5) for c in range(r, 6)]
+    named += [k33(), cube(3), *catalog().values()]
+    decomposed = 0
+    for g in [*connected_multigraphs(5, 8), *named]:
+        got = _outcome(decompose, g)
+        if got[0] == "ok":
+            d = got[1]
+            got = "ok", (d.stages, tuple((a.circuit, _edge_ids(a.arcs)) for a in d.adjunctions))
+            decomposed += 1
+        assert got == _outcome(decompose_by_inline_search, g)
+        evens = even_circuits(g)
+        for i, s in enumerate(evens):
+            got = _outcome(find_adjunction, g, s.edge_set)
+            if got[0] == "ok":
+                got = "ok", (got[1][0], _edge_ids(got[1][1]))
+            assert got == _outcome(adjunction_by_one_pass, g, s.edge_set, evens)
+            if len(evens) > 300 and i % 50:
+                continue
+            for c in evens:
+                got = _outcome(circuit_arcs, g, c, s.edge_set)
+                if got[0] == "ok":
+                    got = "ok", _edge_ids(got[1])
+                assert got == _outcome(arcs_by_two_branches, g, c, s.edge_set)
+    # 42 corpus graphs are even-circuit-connected (12 of them need a 2-arc
+    # start); the rest of the corpus is refused with the oracle's texts
+    assert decomposed == 42 + len(named)
