@@ -94,15 +94,17 @@ def _adjunctions(
     g: Multigraph, stage: frozenset[int], evens: Sequence[Circuit], n_arcs: int
 ) -> Iterator[tuple[Circuit, tuple[Arc, ...]]]:
     """Each circuit of ``evens``, in order, that meets the stage, adds
-    edges to it and has ``n_arcs`` arcs over it; with two arcs, only those
-    whose grown stage keeps the containment property."""
+    edges to it and has ``n_arcs`` arcs over it.  A 2-arc circuit that
+    breaks containment leaves a 1-arc adjunction inside the stage plus
+    one arc, which ``find_adjunction`` takes first; at ``decompose``'s
+    start it leaves a bipartite stage that the 1-arc greedy cannot grow
+    into ``g``."""
     for c in evens:
         new = c.edge_set - stage
-        if not new or new == c.edge_set:
-            continue
-        arcs = circuit_arcs(g, c, stage)
-        if len(arcs) == n_arcs and (n_arcs == 1 or _containment_ok(new, stage | c.edge_set, evens)):
-            yield c, arcs
+        if new and new != c.edge_set:
+            arcs = circuit_arcs(g, c, stage)
+            if len(arcs) == n_arcs:
+                yield c, arcs
 
 
 def find_adjunction(

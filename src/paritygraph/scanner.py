@@ -2,21 +2,21 @@
 
 A witness is a connected subgraph that, optionally after contracting one
 odd circuit inside it, is an even splitting of a catalog base whose
-parity rule the assignment triggers.  Every scan reads one lazy candidate
-stream, which enumerates connected edge subsets in ascending size, and
-returns the first candidate whose rule the assignment triggers, so the
-witness is edge-minimal among those the search accepts.  The stream skips
-a subset, odd contractions included, when it holds fewer even circuits
-than any base it looks for: a base's even circuits lift injectively into
-the subset, so no match can be lost.  ``find_witness`` matches all nine
-bases by the splitting search, and its candidates do not depend on the
-assignment, so one cached scan serves many assignments; within one scan
-a graph isomorphic to one the search already refuted is refuted by its
-``canonical_key``, with no second search.  ``scan_all_odd`` and
-``scan_all_even`` need only O1, E1 and E3, of maximum degree three, whose
-even splittings are even subdivisions: they match by the chain walk
-``subdivision_trace``, with no search and no vertex limit, and every
-candidate they meet triggers its rule.
+parity rule the assignment triggers.  It holds no loop, and every vertex
+of it, and of its contraction, has degree two or more.  Every scan reads
+one lazy candidate stream, which enumerates connected edge subsets in
+ascending size, and returns the first candidate whose rule the
+assignment triggers, so the witness is edge-minimal among those the
+search accepts.  The stream skips a subset, odd contractions included,
+when it holds fewer even circuits than any base it looks for: a base's
+even circuits lift injectively into the subset, so no match can be lost.
+Every scan matches by ``splitting_traces``, so only D2-D4 run a search
+and meet SPLITTING_VERTEX_LIMIT.  ``find_witness`` looks for all nine
+bases, and its candidates do not depend on the assignment, so one cached
+scan serves many assignments; within one scan a graph isomorphic to one
+already refuted is refuted by its ``canonical_key``.  ``scan_all_odd``
+and ``scan_all_even`` look only for O1, E1 and E3, and every candidate
+they meet triggers its rule.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .transforms import (
     SplittingTrace,
     lift_through_trace,
     splitting_traces,
-    subdivision_trace,
 )
 
 DEFAULT_SCAN_BUDGET = 200_000
@@ -90,15 +89,15 @@ def _candidate(
 def _edge_subsets(
     g: Multigraph, min_size: int, budget: int
 ) -> Iterator[tuple[int, frozenset[int]]]:
-    """(mask, edge ids) of each connected edge subset of at least
-    ``min_size`` edges whose every vertex has degree >= 2; a subgraph with
-    a vertex of lower degree is neither a splitting of a base nor an odd
-    circuit plus arcs.
+    """(mask, edge ids) of each connected, loop-free edge subset of at
+    least ``min_size`` edges whose every vertex has degree >= 2; a
+    subgraph with a vertex of lower degree is neither a splitting of a
+    base nor an odd circuit plus arcs.
 
     Bit i of a mask is ``g.edges[i]``.  Masks come lazily in (size, mask)
-    order, by Gosper's hack.  Every mask of at least ``min_size`` edges
-    counts against ``budget`` before filtering; the first one over it
-    raises ResourceLimitError.
+    order, by Gosper's hack.  Every mask of at least ``min_size`` edges,
+    loops included, counts against ``budget`` before filtering; the first
+    one over it raises ResourceLimitError.
     """
     edges = g.edges
     m = len(edges)
@@ -133,10 +132,8 @@ def _edge_subsets(
                     f"witness scan budget of {budget} subsets exhausted; "
                     f"the search covered subsets of at most {size} edges", budget
                 )
-            # a vertex of degree 1 has a single, non-loop edge in the subset
-            if all(
-                not (x := mask & star) or x & (x - 1) or x & loop_bits
-                for star in stars
+            if not mask & loop_bits and all(
+                not (x := mask & star) or x & (x - 1) for star in stars
             ) and connected(mask):
                 yield mask, frozenset(edges[i].id for i in bits_to_indices(mask))
             low = mask & -mask
@@ -147,8 +144,8 @@ def _edge_subsets(
 def _circuit_masks(
     g: Multigraph, cap: int
 ) -> tuple[list[int], list[tuple[int, frozenset[int]]]]:
-    """Even circuit masks, and (mask, edge ids) per odd circuit, with the
-    bit layout of _edge_subsets."""
+    """Even circuit masks, and (mask, edge ids) per odd circuit other than
+    a loop, with the bit layout of _edge_subsets."""
     bit_of = {e.id: i for i, e in enumerate(g.edges)}
     even: list[int] = []
     odd: list[tuple[int, frozenset[int]]] = []
@@ -156,7 +153,7 @@ def _circuit_masks(
         mask = indices_to_bits(bit_of[eid] for eid in c.edge_ids)
         if c.is_even:
             even.append(mask)
-        else:
+        elif len(c) > 1:
             odd.append((mask, c.edge_set))
     return even, odd
 
@@ -169,7 +166,8 @@ def _odd_contractions(
     min_edges: int,
 ) -> Iterator[tuple[frozenset[int], Multigraph]]:
     """(odd circuit, contracted subgraph) for each odd circuit inside the
-    subset that leaves at least ``min_edges`` edges and creates no loop."""
+    subset that leaves at least ``min_edges`` edges, creates no loop and
+    keeps every degree at two or more, as ``_edge_subsets`` does."""
     sub = None
     for omask, oset in odd:
         if omask & ~mask or (mask & ~omask).bit_count() < min_edges:
@@ -177,19 +175,18 @@ def _odd_contractions(
         if sub is None:
             sub = g.subgraph(subset)
         contracted, _ = sub.contract_edges(oset)
-        if not any(e.is_loop for e in contracted.edges):
+        if not any(e.is_loop for e in contracted.edges) and all(
+            len(inc) > 1 for inc in contracted.incidence.values()
+        ):
             yield oset, contracted
 
 
-def _has_loop(g: Multigraph, subset: frozenset[int]) -> bool:
-    return any(g.by_id[eid].is_loop for eid in subset)
-
-
-_Matcher = Callable[[Multigraph], list[tuple[str, SplittingTrace]]]
-
-
 def _candidates(
-    g: Multigraph, bases: tuple[str, ...], budget: int, cap: int, matches: _Matcher
+    g: Multigraph,
+    bases: tuple[str, ...],
+    budget: int,
+    cap: int,
+    matches: Callable[[Multigraph], list[tuple[str, SplittingTrace]]],
 ) -> Iterator[_Candidate]:
     """Each (subset, base, optional odd contraction) match in the graph,
     lazily: subsets in (size, mask) order; per subset, its direct matches
@@ -214,7 +211,7 @@ def _candidates(
     for mask, subset in _edge_subsets(g, min_edges, budget):
         if sum(1 for em in even_masks if em & ~mask == 0) < min_count:
             continue
-        direct = [] if _has_loop(g, subset) else matches(g.subgraph(subset))
+        direct = matches(g.subgraph(subset))
         if direct:
             yield from (_candidate(g, subset, name, None, t) for name, t in direct)
             continue
@@ -222,9 +219,10 @@ def _candidates(
             yield from (_candidate(g, subset, name, oset, t) for name, t in matches(contracted))
 
 
-def _split_matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
-    traces = splitting_traces(h, [base_graph(name) for name in WITNESS_BASES])
-    return [(name, t) for name, t in zip(WITNESS_BASES, traces) if t is not None]
+def _split_matches(h: Multigraph, bases: tuple[str, ...]) -> list[tuple[str, SplittingTrace]]:
+    """(base name, trace from h) for each of ``bases`` that ``h`` matches."""
+    traces = splitting_traces(h, [base_graph(name) for name in bases])
+    return [(name, t) for name, t in zip(bases, traces) if t is not None]
 
 
 @lru_cache(maxsize=64)
@@ -239,21 +237,21 @@ def witness_candidates(
     per assignment has to do.
 
     Whether a graph is an even splitting of a base does not depend on its
-    labels, so the matcher keeps the ``canonical_key`` of every graph the
-    splitting search refutes for all nine bases, and a later isomorphic
-    graph gets no match without a search.  A graph with a match always
-    runs the search, because its trace depends on the labels.  The keys
-    live as long as this one candidate stream.
+    labels, so the matcher keeps the ``canonical_key`` of every graph
+    ``splitting_traces`` refutes for all nine bases, and a later
+    isomorphic graph gets no match without a second one.  A graph with a
+    match is always matched again, because its trace depends on the
+    labels.  The keys live as long as this one candidate stream.
     """
     refuted: set[GraphKey] = set()
 
     def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
-        if h.n_vertices > SPLITTING_VERTEX_LIMIT:
-            return _split_matches(h)  # CapabilityError, before any key is computed
+        if h.n_vertices > SPLITTING_VERTEX_LIMIT:  # no key, as the search may refuse h
+            return _split_matches(h, WITNESS_BASES)
         key = canonical_key(h)
         if key in refuted:
             return []
-        found = _split_matches(h)
+        found = _split_matches(h, WITNESS_BASES)
         if not found:
             refuted.add(key)
         return found
@@ -285,29 +283,15 @@ def find_witness(
     return _first_triggered(witness_candidates(g, budget, cap), j)
 
 
-# -- specialised all-odd / all-even scans ------------------------------
+# -- all-odd / all-even scans -----------------------------------------
 
 
-def _subdivision_scan(
-    g: Multigraph,
-    bases: tuple[str, ...],
-    j: ParityAssignment,
-    budget: int,
-    cap: int,
+def _scan(
+    g: Multigraph, bases: tuple[str, ...], j: ParityAssignment, budget: int, cap: int
 ) -> Optional[ForbiddenWitness]:
-    """Ascending-size search for even subdivisions of bases of maximum
-    degree three, directly or after contracting one odd circuit inside the
-    subgraph.  A subgraph matches when its ``subdivision_trace`` ends in a
-    graph isomorphic to a base; no splitting search is run."""
-
-    def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
-        trace = subdivision_trace(h)
-        return [
-            (name, trace) for name in bases
-            if find_isomorphism(trace.to_graph, base_graph(name)) is not None
-        ]
-
-    return _first_triggered(_candidates(g, bases, budget, cap, matches), j)
+    """The first witness among ``bases`` whose rule ``j`` triggers."""
+    stream = _candidates(g, bases, budget, cap, lambda h: _split_matches(h, bases))
+    return _first_triggered(stream, j)
 
 
 def scan_all_odd(
@@ -317,7 +301,7 @@ def scan_all_odd(
 ) -> Optional[ForbiddenWitness]:
     """Witness against the all-odd assignment: an even subdivision of
     K_{2,3} after at most one odd-circuit contraction."""
-    return _subdivision_scan(g, ("O1",), ParityAssignment.all_odd(), budget, cap)
+    return _scan(g, ("O1",), ParityAssignment.all_odd(), budget, cap)
 
 
 def scan_all_even(
@@ -327,7 +311,7 @@ def scan_all_even(
 ) -> Optional[ForbiddenWitness]:
     """Witness against the all-even assignment: an even subdivision of the
     triple edge or of E3, after at most one odd-circuit contraction."""
-    return _subdivision_scan(g, ("E1", "E3"), ParityAssignment.all_even(), budget, cap)
+    return _scan(g, ("E1", "E3"), ParityAssignment.all_even(), budget, cap)
 
 
 def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> bool:

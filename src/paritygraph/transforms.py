@@ -2,16 +2,12 @@
 subdivision, splitting detection, circuit lifting, induced assignments.
 
 Contracting the two edges at a degree-2 vertex is the inverse of an even
-vertex splitting.  ``splitting_traces`` is the one search for chains of
-such contractions: breadth-first, children in ascending vertex order, so
-each base gets its lexicographically least trace.  States and bases are
-compared by ``canonical_key`` alone, at every size: a state is dropped
-when an earlier one has its key, and it matches a base with the same
-key.  Inputs over SPLITTING_VERTEX_LIMIT vertices raise CapabilityError
-before any work.
-``subdivision_trace`` needs no search: it walks the degree-2 chains down
-to one or two edges each, and for a base of maximum degree three gives
-the search's trace.
+vertex splitting.  A step applies only at a vertex with two non-loop
+edges to distinct neighbours, so it drops two edges and two vertices and
+never folds a digon away.  ``splitting_traces`` is the one matcher for
+chains of steps: the chain walk ``subdivision_trace`` for the bases of
+maximum degree three it leaves as they are (inputs with no degree-1
+vertex), else a breadth-first search, which SPLITTING_VERTEX_LIMIT bounds.
 
 Even circuits lift uniquely backwards through both this contraction and
 the contraction of an odd circuit, which is what makes parity
@@ -83,25 +79,25 @@ def apply_step(g: Multigraph, step: Step) -> Multigraph:
     return h
 
 
+def _contractible(g: Multigraph, v: int) -> bool:
+    """``v`` has two non-loop edges, to two distinct neighbours."""
+    ends = [e.other(v) for e in g.incidence[v]]
+    return len(ends) == 2 and v not in ends and ends[0] != ends[1]
+
+
 def contract_degree2_pair(g: Multigraph, v: int) -> tuple[Multigraph, ContractionMap]:
     """Contract the two edges at a degree-2 vertex (inverse of splitting)."""
     if v not in g.incidence:
         raise InputError(f"unknown vertex {v}")
-    inc = g.incidence[v]
-    if g.degree(v) != 2 or len(inc) != 2:
-        raise InputError(f"vertex {v} does not have two distinct non-loop edges")
-    e, f = inc
+    if not _contractible(g, v):
+        raise InputError(f"vertex {v} does not have two non-loop edges to distinct neighbours")
+    e, f = g.incidence[v]
     return g.contract_edges({e.id, f.id})
 
 
 def degree2_options(g: Multigraph) -> list[int]:
     """Vertices where contract_degree2_pair applies, ascending."""
-    out = []
-    for v in g.vertex_ids:
-        inc = g.incidence[v]
-        if len(inc) == 2 and not inc[0].is_loop and not inc[1].is_loop:
-            out.append(v)
-    return out
+    return [v for v in g.vertex_ids if _contractible(g, v)]
 
 
 def contract_odd_circuit(
@@ -132,31 +128,46 @@ def subdivide_edge(g: Multigraph, eid: int, length: int) -> Multigraph:
 def splitting_traces(
     h: Multigraph, bases: Sequence[Multigraph]
 ) -> list[Optional[SplittingTrace]]:
-    """Per base, a chain of degree-2 contractions from ``h`` to a graph
-    isomorphic to it, or None when no chain exists.
+    """Per base, the lexicographically least chain of degree-2
+    contractions from ``h`` to a graph isomorphic to it, or None.
 
-    One breadth-first exploration of the contraction tree serves every
-    base.  Children are generated in ascending vertex order, so the first
-    trace found per base is its lexicographically least step sequence.
-    Isomorphic states have the same future, so a state is dropped when an
-    earlier one has its ``canonical_key``; a state matches a base when
-    their keys are equal.  Isomorphic states sit at the same depth, and
-    the earlier one's descendants come first at every level, so dropping
-    the later one loses no first trace.  Inputs over
-    SPLITTING_VERTEX_LIMIT vertices raise CapabilityError before any
-    work.
+    A base of maximum degree three that the chain walk leaves as it is
+    matches by ``subdivision_trace(h)`` when ``h`` has no vertex of
+    degree one.  Then no step lowers a degree, and a step between two
+    vertices of degree three makes one of degree four, so every chain to
+    the base shortens degree-2 chains only.  All such chains end in one
+    graph up to isomorphism, so the walk, which takes the smallest useful
+    vertex each time, finds the least one.
+
+    The other bases share one breadth-first search, children in ascending
+    vertex order, so the first trace found per base is its least.  A
+    state is dropped when an earlier one, at the same depth, has its
+    ``canonical_key``, and matches a base with the same key.  When this
+    search must run on an input over SPLITTING_VERTEX_LIMIT vertices it
+    raises CapabilityError before any work.
     """
-    if h.n_vertices > SPLITTING_VERTEX_LIMIT:
+    found: list[Optional[SplittingTrace]] = [None] * len(bases)
+    walked: list[int] = []
+    by_size: dict[int, list[int]] = {}
+    pendant = any(h.degree(v) == 1 for v in h.vertex_ids)
+    for i, b in enumerate(bases):
+        diff = h.n_edges - b.n_edges
+        # each contraction drops two edges and two vertices
+        if diff < 0 or diff % 2 or diff != h.n_vertices - b.n_vertices:
+            continue
+        if not pendant and all(b.degree(v) <= 3 for v in b.vertex_ids) and not _walk_vertices(b):
+            walked.append(i)
+        else:
+            by_size.setdefault(b.n_edges, []).append(i)
+    if by_size and h.n_vertices > SPLITTING_VERTEX_LIMIT:
         raise CapabilityError(
             f"splitting search supported up to {SPLITTING_VERTEX_LIMIT} vertices"
         )
-    found: list[Optional[SplittingTrace]] = [None] * len(bases)
-    by_size: dict[int, list[int]] = {}
-    for i, b in enumerate(bases):
-        diff = h.n_edges - b.n_edges
-        # each contraction drops two edges and one or two vertices
-        if diff >= 0 and not diff % 2 and diff // 2 <= h.n_vertices - b.n_vertices <= diff:
-            by_size.setdefault(b.n_edges, []).append(i)
+    walk = subdivision_trace(h) if walked else None
+    for i in walked:
+        end = walk.to_graph
+        if end.n_edges == bases[i].n_edges and canonical_key(end) == canonical_key(bases[i]):
+            found[i] = walk
     if not by_size:
         return found
     todo = sum(len(ids) for ids in by_size.values())
@@ -191,27 +202,29 @@ def is_even_splitting_of(h: Multigraph, b: Multigraph) -> Optional[SplittingTrac
     return splitting_traces(h, [b])[0]
 
 
+def _walk_vertices(g: Multigraph) -> list[int]:
+    """The vertices of ``degree2_options`` with a degree-2 neighbour."""
+    return [v for v in degree2_options(g)
+            if any(g.degree(e.other(v)) == 2 for e in g.incidence[v])]
+
+
 def subdivision_trace(h: Multigraph) -> SplittingTrace:
     """Shorten every chain of degree-2 vertices by two edges at a time
     until it has one or two, by contracting the smallest vertex of
-    ``degree2_options`` that has a degree-2 neighbour, while one exists.
+    ``_walk_vertices``, while one exists.
 
     ``to_graph`` keeps each chain's length parity, so ``h`` is an even
-    subdivision of a base iff ``to_graph`` is isomorphic to it.  For a
-    base of maximum degree three, where every even splitting is an even
-    subdivision, this is the trace ``is_even_splitting_of`` finds, built
+    subdivision of a base iff ``to_graph`` is isomorphic to it.  This is
+    how ``splitting_traces`` matches the bases of maximum degree three,
     with no search and no vertex limit.
     """
     g, steps = h, []
-    while True:
-        inner = [v for v in degree2_options(g)
-                 if any(g.degree(e.other(v)) == 2 for e in g.incidence[v])]
-        if not inner:
-            return SplittingTrace(h, g, tuple(steps))
+    while inner := _walk_vertices(g):
         v = inner[0]
         inc = g.incidence[v]
         steps.append(Degree2Contraction(v, (inc[0].id, inc[1].id)))
         g, _ = contract_degree2_pair(g, v)
+    return SplittingTrace(h, g, tuple(steps))
 
 
 def lift_even_circuit(c: Circuit, g_before: Multigraph, step: Step) -> Circuit:

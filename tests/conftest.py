@@ -410,20 +410,19 @@ def splitting_by_dfs(h: Multigraph, b: Multigraph, vertex_limit: int = SPLITTING
     return SplittingTrace(h, reached, steps)
 
 
-def splitting_by_bfs(h: Multigraph, bases) -> dict:
+def splitting_by_bfs(h: Multigraph, bases) -> list:
     """The scanner's multi-base breadth-first search as it was before it
-    moved into transforms: base name -> first trace found, with states
-    merged by invariant and isomorphism."""
+    moved into transforms: per base, the first trace found or None, with
+    states merged by invariant and isomorphism."""
     applicable = []
-    for name in bases:
-        b = base_graph(name)
+    for i, b in enumerate(bases):
         diff = h.n_edges - b.n_edges
         if diff >= 0 and not diff % 2 and diff // 2 <= h.n_vertices - b.n_vertices <= diff:
-            applicable.append(name)
+            applicable.append(i)
+    found: list = [None] * len(bases)
     if not applicable:
-        return {}
-    min_edges = min(base_graph(n).n_edges for n in applicable)
-    found: dict = {}
+        return found
+    min_edges = min(bases[i].n_edges for i in applicable)
     seen: dict[tuple, list[Multigraph]] = {}
 
     def register(g: Multigraph) -> bool:
@@ -438,11 +437,11 @@ def splitting_by_bfs(h: Multigraph, bases) -> dict:
     while frontier:
         next_frontier = []
         for g, steps in frontier:
-            for name in applicable:
-                b = base_graph(name)
-                if (b.n_edges == g.n_edges and name not in found
+            for i in applicable:
+                b = bases[i]
+                if (b.n_edges == g.n_edges and found[i] is None
                         and isomorphism_by_backtracking(g, b)):
-                    found[name] = SplittingTrace(h, g, steps)
+                    found[i] = SplittingTrace(h, g, steps)
             if g.n_edges - 2 < min_edges:
                 continue
             for v in degree2_options(g):
@@ -452,7 +451,7 @@ def splitting_by_bfs(h: Multigraph, bases) -> dict:
                     step = Degree2Contraction(v, (inc[0].id, inc[1].id))
                     next_frontier.append((child, steps + (step,)))
         frontier = next_frontier
-        if len(found) == len(applicable):
+        if all(found[i] is not None for i in applicable):
             break
     return found
 
@@ -561,16 +560,16 @@ def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) 
 
 def candidates_without_skips(g: Multigraph, bases, budget: int, cap: int, matches):
     """``scanner._candidates`` before the even-circuit skip: every subset
-    without a loop is matched directly, and a subset with no direct match
-    tries each of its odd circuit contractions, however few even circuits
-    of ``g`` it holds."""
+    is matched directly when it holds enough even circuits of ``g``, and a
+    subset with no direct match tries each of its odd circuit
+    contractions, however few even circuits of ``g`` it holds."""
     even_masks, odd = scanner._circuit_masks(g, cap)
     min_edges = min(base_graph(name).n_edges for name in bases)
     min_count = min(EVEN_CIRCUIT_COUNT[name] for name in bases)
     for mask, subset in scanner._edge_subsets(g, min_edges, budget):
         n_even_inside = sum(1 for em in even_masks if em & ~mask == 0)
         direct = []
-        if n_even_inside >= min_count and not scanner._has_loop(g, subset):
+        if n_even_inside >= min_count:
             direct = matches(g.subgraph(subset))
         if direct:
             yield from (scanner._candidate(g, subset, n, None, t) for n, t in direct)
@@ -584,13 +583,16 @@ def witness_candidates_without_skips(g: Multigraph, budget: int, cap: int) -> tu
     check before the odd contractions and no memo of refuted graphs, so
     every graph offered runs the splitting search over all nine bases."""
     return tuple(
-        candidates_without_skips(g, WITNESS_BASES, budget, cap, scanner._split_matches)
+        candidates_without_skips(
+            g, WITNESS_BASES, budget, cap, lambda h: scanner._split_matches(h, WITNESS_BASES)
+        )
     )
 
 
 def subdivision_scan_without_skips(g: Multigraph, bases, j, budget: int, cap: int):
-    """``scanner._subdivision_scan`` on the stream without the even-circuit
-    skip."""
+    """``scan_all_odd`` or ``scan_all_even`` on the stream without the
+    even-circuit skip, matching by the chain walk and backtracking
+    isomorphism."""
 
     def matches(h: Multigraph):
         trace = subdivision_trace(h)

@@ -9,6 +9,7 @@ import pytest
 
 import paritygraph
 from paritygraph import scanner
+from paritygraph.catalog import base_graph
 from paritygraph.cli import main
 from paritygraph.fileio import emit_graph
 
@@ -97,8 +98,6 @@ def test_scan_k23_all_even_no_witness(files, capsys):
 
 
 def test_scan_o2_all_odd_records_contraction(files, capsys):
-    from paritygraph.catalog import base_graph
-
     g = files("g.graph", emit_graph(base_graph("O2")))
     code, out, _ = run(capsys, "scan", g, "--all-odd")
     assert code == 0
@@ -128,12 +127,18 @@ w-circuit odd 14 1 2 3 4 5 6 7 8 9 10 11 13 14 16
 
 
 def test_scan_over_the_splitting_limit_exits_2(files, capsys):
-    # K_{2,3} with one edge made an 11-edge path: 15 vertices.  The all-odd
-    # scan walks its chains; an assignment file runs the splitting search.
+    # K_{2,3} with one edge made an 11-edge path: 15 vertices.  Every scan
+    # walks its chains, so an assignment file finds the all-odd witness.
     big = subdivided([(e.u, e.v) for e in k23().edges], (11, 1, 1, 1, 1, 1))
     g = files("big.graph", emit_graph(big))
+    odd = files("odd.j", "j-all odd\n")
     assert run(capsys, "scan", g, "--all-odd") == (0, BIG_ALL_ODD_WITNESS, "")
-    code, out, err = run(capsys, "scan", g, files("odd.j", "j-all odd\n"))
+    assert run(capsys, "scan", g, odd) == (0, BIG_ALL_ODD_WITNESS, "")
+    # D3 with one edge made a 9-edge path: 15 vertices, the size of a D3
+    # splitting, so an assignment file runs the splitting search
+    d3 = subdivided([(e.u, e.v) for e in base_graph("D3").edges], (9,) + (1,) * 9)
+    g = files("d3.graph", emit_graph(d3))
+    code, out, err = run(capsys, "scan", g, odd, "--budget", "1000000")
     assert code == 2 and out == ""
     assert err == "error: splitting search supported up to 14 vertices\n"
 

@@ -13,6 +13,7 @@ from paritygraph import (
     even_circuits,
 )
 import paritygraph.scanner as scanner
+import paritygraph.transforms as transforms
 from paritygraph.catalog import CATALOG_NAMES, EVEN_CIRCUIT_COUNT, base_graph
 from paritygraph.circuits import DEFAULT_CIRCUIT_CAP
 from paritygraph.cli import main
@@ -185,7 +186,8 @@ K23_PAIRS = [(e.u, e.v) for e in k23().edges]
 
 def test_theta_parity_patterns_match_splitting_detector():
     # a theta graph is a splitting of O1 iff all three path lengths are
-    # even, and of E1 iff all three are odd
+    # even, and of E1 iff all three are odd; both bases go by the chain
+    # walk, so thetas over the splitting search's limit answer too
     for a, b, c in itertools.combinations_with_replacement(range(1, 7), 3):
         if a == 1 and b == 1 and c == 1:
             g = triple_edge()
@@ -194,26 +196,33 @@ def test_theta_parity_patterns_match_splitting_detector():
         all_even = a % 2 == 0 and b % 2 == 0 and c % 2 == 0
         all_odd = a % 2 == 1 and b % 2 == 1 and c % 2 == 1
         for name, expected in (("O1", all_even), ("E1", all_odd)):
-            if g.n_vertices > SPLITTING_VERTEX_LIMIT:
-                with pytest.raises(CapabilityError):
-                    is_even_splitting_of(g, base_graph(name))
-            else:
-                found = is_even_splitting_of(g, base_graph(name)) is not None
-                assert found == expected, (name, a, b, c)
+            found = is_even_splitting_of(g, base_graph(name)) is not None
+            assert found == expected, (name, a, b, c)
+
+
+def d3_over_the_limit() -> Multigraph:
+    """D3 with one edge made a 9-edge path: 15 vertices, one over the
+    splitting search's limit, and the size of a D3 splitting."""
+    return subdivided([(e.u, e.v) for e in base_graph("D3").edges], (9,) + (1,) * 9)
 
 
 def test_splitting_vertex_limit_binds_only_the_splitting_search():
     # K_{2,3} with one edge made an 11-edge path: 15 vertices, one over
-    # the limit, and an even subdivision of O1.  The general scan runs the
-    # splitting search and refuses it; the all-odd scan walks its chains.
+    # the limit, and an even subdivision of O1.  No D base has its size,
+    # so every scan walks its chains and finds the same witness.
     big = subdivided(K23_PAIRS, (11, 1, 1, 1, 1, 1))
     assert big.n_vertices == SPLITTING_VERTEX_LIMIT + 1
-    with pytest.raises(CapabilityError, match="splitting search"):
-        find_witness(big, ParityAssignment.all_odd())
     w = scan_all_odd(big)
+    assert w == find_witness(big, ParityAssignment.all_odd())
     assert w is not None and w.base_name == "O1" and w.odd_circuit_contracted is None
     assert w.subgraph_edges == big.edge_id_set and len(w.splitting_trace.steps) == 5
     assert verify_witness(big, ParityAssignment.all_odd(), w)
+    # the D3 subdivision makes find_witness run the search for D3, which
+    # refuses it; the all-odd and all-even scans look for no D base
+    g = d3_over_the_limit()
+    with pytest.raises(CapabilityError, match="splitting search"):
+        find_witness(g, ParityAssignment.all_odd(), 10**6)
+    assert scan_all_odd(g, 10**6) is None and scan_all_even(g, 10**6) is None
     # at and just under the limit both scanners find the same witness
     at_limit = theta(5, 5, 5)
     assert at_limit.n_vertices == SPLITTING_VERTEX_LIMIT
@@ -295,7 +304,11 @@ def ordered_masks(g, min_size):
 
 def kept(g, mask) -> bool:
     sub = g.subgraph(g.edges[i].id for i in range(g.n_edges) if mask >> i & 1)
-    return is_connected(sub) and all(sub.degree(v) >= 2 for v in sub.vertex_ids)
+    return (
+        is_connected(sub)
+        and all(sub.degree(v) >= 2 for v in sub.vertex_ids)
+        and not any(e.is_loop for e in sub.edges)
+    )
 
 
 def subset_graphs():
@@ -386,9 +399,30 @@ def test_every_candidate_holds_its_base_count_of_even_circuits():
             assert lifted <= set(inside)
 
 
-@pytest.mark.parametrize("g, calls", [(wheel(7), 222), (wheel(8), 449)])
+def test_every_matched_graph_is_loop_free_with_degrees_at_least_two(monkeypatch):
+    # no subset holds a loop, and no odd contraction turns a chord into
+    # a loop or leaves the contracted vertex one edge, so the chain walk
+    # serves every base of maximum degree three in every scan
+    offered = []
+
+    def counted(h, bases):
+        offered.append(h)
+        return splitting_traces(h, bases)
+
+    monkeypatch.setattr(scanner, "splitting_traces", counted)
+    for g in skip_oracle_graphs()[::3]:
+        witness_candidates.__wrapped__(g)
+        scan_all_odd(g)
+        scan_all_even(g)
+    assert len(offered) > 1000
+    for h in offered:
+        assert not any(e.is_loop for e in h.edges)
+        assert all(h.degree(v) >= 2 for v in h.vertex_ids), [(e.id, e.u, e.v) for e in h.edges]
+
+
+@pytest.mark.parametrize("g, calls", [(wheel(7), 209), (wheel(8), 327)])
 def test_cold_wheel_splitting_search_counts_are_pinned(g, calls, monkeypatch):
-    # 2270 and 6779 searches with neither skip
+    # 2270 and 6779 matches with neither skip
     made = []
 
     def counted(h, bases):
@@ -405,9 +439,9 @@ def test_vertex_limit_fires_before_any_key_is_computed(monkeypatch):
         raise AssertionError("canonical key computed")
 
     monkeypatch.setattr(scanner, "canonical_key", no_key)
-    big = subdivided(K23_PAIRS, (11, 1, 1, 1, 1, 1))
+    monkeypatch.setattr(transforms, "canonical_key", no_key)
     with pytest.raises(CapabilityError, match="splitting search"):
-        witness_candidates.__wrapped__(big)
+        witness_candidates.__wrapped__(d3_over_the_limit(), 10**6)
 
 
 def test_subset_with_too_few_even_circuits_is_not_contracted(tmp_path, capsys):

@@ -16,8 +16,9 @@ from paritygraph import (
 from paritygraph.catalog import WITNESS_BASES, base_graph, catalog
 from paritygraph.circuits import Circuit
 from paritygraph.corpus import connected_multigraphs
-from paritygraph.errors import InputError
+from paritygraph.errors import CapabilityError, InputError
 from paritygraph.graphs import Orientation, canonical_key, find_isomorphism
+import paritygraph.transforms as transforms
 
 from paritygraph.transforms import (
     Degree2Contraction,
@@ -35,7 +36,13 @@ from paritygraph.transforms import (
     subdivide_edge,
     subdivision_trace,
 )
-from paritygraph.scanner import _edge_subsets, witness_candidates
+from paritygraph.scanner import (
+    ForbiddenWitness,
+    _edge_subsets,
+    find_witness,
+    verify_witness,
+    witness_candidates,
+)
 
 from conftest import (
     cube,
@@ -71,6 +78,29 @@ def test_contract_degree2_requires_degree_two():
         contract_degree2_pair(loopy, 1)
 
 
+def test_no_step_contracts_a_digon():
+    # K_{2,3} plus vertex 6 with both its edges to vertex 1: contracting
+    # them would fold that digon away.  No step applies at vertex 6, and
+    # neither a replayed trace nor a witness check may take one there
+    g = Multigraph.from_pairs([(e.u, e.v) for e in k23().edges] + [(1, 6), (1, 6)])
+    assert degree2_options(g) == [3, 4, 5]
+    with pytest.raises(InputError, match="vertex 6 does not have two non-loop edges to distinct"):
+        contract_degree2_pair(g, 6)
+    step = Degree2Contraction(6, (7, 8))
+    with pytest.raises(InputError, match="vertex 6"):
+        apply_step(g, step)
+    folded, _ = g.contract_edges({7, 8})
+    assert folded == g.subgraph(range(1, 7))
+    j = ParityAssignment.all_odd()
+    direct = find_witness(g, j)
+    assert direct.base_name == "O1" and direct.subgraph_edges == folded.edge_id_set
+    forged = ForbiddenWitness(
+        "O1", g.edge_id_set, None, SplittingTrace(g, folded, (step,)), direct.circuit_parities
+    )
+    with pytest.raises(InputError, match="vertex 6"):
+        verify_witness(g, j, forged)
+
+
 def test_e3_pair_contraction_merges_adjacent_corners():
     # contracting the degree-2 pair at a subdivision vertex of E3 merges
     # two corners of the underlying K4; E3 is not an even splitting of K4
@@ -88,8 +118,6 @@ def test_o2_double_contraction_creates_multiedge_and_loop():
     h, _ = contract_degree2_pair(g, v)
     assert h.n_vertices == 5 and h.n_edges == 7
     h2, _ = contract_degree2_pair(h, degree2_options(h)[0])
-    from collections import Counter
-
     pair_counts = Counter((e.u, e.v) for e in h2.edges if not e.is_loop)
     assert max(pair_counts.values()) == 2
     assert any(e.is_loop for e in h2.edges)
@@ -193,15 +221,15 @@ def test_splitting_traces_match_the_dfs_and_bfs_oracles():
     inputs += [h for b in bases for h in even_splittings(b)]
     calls = traces = 0
     for h in inputs:
-        by_bfs = splitting_by_bfs(h, WITNESS_BASES)
-        for name, base, t in zip(WITNESS_BASES, bases, splitting_traces(h, bases)):
+        by_bfs = splitting_by_bfs(h, bases)
+        for name, base, t, u in zip(WITNESS_BASES, bases, splitting_traces(h, bases), by_bfs):
             expected = splitting_by_dfs(h, base)
             got = None if t is None else (t.steps, t.to_graph)
             assert got == (None if expected is None else (expected.steps, expected.to_graph))
-            assert t == by_bfs.get(name), (name, [(e.id, e.u, e.v) for e in h.edges])
+            assert t == u, (name, [(e.id, e.u, e.v) for e in h.edges])
             calls += 1
             traces += t is not None
-    assert (calls, traces) == (56376, 1035)
+    assert (calls, traces) == (56376, 812)
 
 
 def _grown(g: Multigraph, rng: random.Random, size: int) -> Multigraph:
@@ -215,45 +243,36 @@ def _grown(g: Multigraph, rng: random.Random, size: int) -> Multigraph:
     return g
 
 
-def _with_digon(g: Multigraph, a: int) -> Multigraph:
-    """``g`` with a new vertex joined to ``a`` by two parallel edges."""
-    v = max(g.vertex_ids) + 1
-    m = max(e.id for e in g.edges)
-    edges = [(e.id, e.u, e.v) for e in g.edges] + [(m + 1, a, v), (m + 2, a, v)]
-    return Multigraph.build(list(g.vertex_ids) + [v], edges)
-
-
 def test_splitting_traces_match_the_dfs_oracle_at_13_and_14_vertices():
     # states over 12 vertices were once merged only when equal; now every
     # state is merged by key.  Per base: even splittings and subdivisions
-    # grown to 13-14 vertices, the same with one odd subdivision, or with
-    # pendant digons, whose contractions give 13-vertex children that can
-    # be isomorphic without being equal
+    # grown to 13-14 vertices, the same with one odd subdivision, and
+    # more growths of D2-D4, the bases matched by the breadth-first
+    # search; contractions along one chain give children that are
+    # isomorphic without being equal
     rng = random.Random(1314)
     bases = [base_graph(name) for name in WITNESS_BASES]
     calls = traces = twins = 0
     for i in range(54):
         kind = i // 9 % 3
-        h = _grown(bases[i % 9], rng, 13 if kind == 0 else 12)
+        if kind == 2:
+            h = _grown(bases[6 + i % 3], rng, 13)
+        else:
+            h = _grown(bases[i % 9], rng, 13 if kind == 0 else 12)
         if kind == 1:
             h = subdivide_edge(h, rng.choice(h.edges).id, 2)
-        elif kind == 2:
-            a = rng.choice(h.vertex_ids)
-            while h.n_vertices < 14:
-                h = _with_digon(h, a if rng.random() < 0.5 else rng.choice(h.vertex_ids))
         h = relabelled(h, rng.sample(range(-40, 60), h.n_vertices),
                        rng.sample(range(-40, 60), h.n_edges))
         assert h.n_vertices in (13, 14)
         children = [contract_degree2_pair(h, v)[0] for v in degree2_options(h)]
-        big = [c for c in children if c.n_vertices == 13]
-        twins += len(set(big)) > len({canonical_key(c) for c in big})
+        twins += len(set(children)) > len({canonical_key(c) for c in children})
         for base, t in zip(bases, splitting_traces(h, bases)):
             expected = splitting_by_dfs(h, base, vertex_limit=14)
             got = None if t is None else (t.steps, t.to_graph)
             assert got == (None if expected is None else (expected.steps, expected.to_graph))
             calls += 1
             traces += t is not None
-    assert (calls, traces, twins) == (486, 37, 4)
+    assert (calls, traces, twins) == (486, 37, 54)
 
 
 SUBDIVISION_BASES = ("O1", "E1", "E3")
@@ -261,8 +280,8 @@ SUBDIVISION_BASES = ("O1", "E1", "E3")
 
 def check_subdivision_trace(h):
     """The chain-walk match per subdivision base equals the reduced-form
-    oracle's, and a matched trace equals the splitting search's.  Returns
-    how many bases matched."""
+    oracle's, and a matched trace equals the matcher's and the DFS
+    oracle's.  Returns how many bases matched."""
     trace = subdivision_trace(h)
     assert trace.from_graph == h and trace.replay() == trace.to_graph
     reduced = reduced_parity_form(h)
@@ -274,7 +293,7 @@ def check_subdivision_trace(h):
         by_oracle = reduced is not None and isomorphism_by_backtracking(reduced, base) is not None
         assert by_walk == by_oracle, (name, edges)
         if by_walk:
-            assert trace == is_even_splitting_of(h, base), (name, edges)
+            assert trace == is_even_splitting_of(h, base) == splitting_by_dfs(h, base), (name, edges)
             matched += 1
     return matched
 
@@ -291,7 +310,7 @@ def test_subdivision_trace_equals_the_oracles_on_scanned_subgraphs():
             for h in [sub] + [sub.contract_edges(o)[0] for o in odd if o <= subset]:
                 matched += check_subdivision_trace(h)
                 inputs += 1
-    assert (inputs, matched) == (57540, 1704)
+    assert (inputs, matched) == (12722, 1196)
 
 
 def test_subdivision_trace_equals_the_oracles_on_random_subdivisions():
@@ -325,6 +344,83 @@ def test_one_search_for_all_bases_equals_one_search_per_base():
             graphs.append(h)
     for h in graphs:
         assert splitting_traces(h, bases) == [is_even_splitting_of(h, b) for b in bases]
+
+
+def _with_pendant_path(g: Multigraph, v: int) -> Multigraph:
+    """``g`` with a path of two edges hung from vertex ``v``."""
+    a = max(g.vertex_ids) + 1
+    m = max(e.id for e in g.edges)
+    edges = [(e.id, e.u, e.v) for e in g.edges] + [(m + 1, v, a), (m + 2, a, a + 1)]
+    return Multigraph.build(list(g.vertex_ids) + [a, a + 1], edges)
+
+
+def test_splitting_traces_equal_the_oracles_on_every_small_base(monkeypatch):
+    # the matcher picks the chain walk or the search per base and input.
+    # Every loop-free corpus graph serves as a base, against two of its
+    # even splittings and a subdivision (all of them at maximum degree
+    # three), itself with a pendant 2-edge path (a vertex of degree one,
+    # which only the search may absorb) and two graphs grown from other
+    # bases with the same edge excess
+    walks = []
+
+    def counted(h):
+        walks.append(h)
+        return subdivision_trace(h)
+
+    monkeypatch.setattr(transforms, "subdivision_trace", counted)
+    rng = random.Random(58)
+    bases = [b for b in connected_multigraphs(5, 8) if b.edges and not any(e.is_loop for e in b.edges)]
+    own = []
+    for b in bases:
+        splits = even_splittings(b)
+        if all(b.degree(v) <= 3 for v in b.vertex_ids):
+            # every splitting and subdivision, where the walk may serve
+            hs = splits + [subdivide_edge(b, e.id, 3) for e in b.edges]
+        else:
+            hs = rng.sample(splits, min(2, len(splits)))
+            hs.append(subdivide_edge(b, rng.choice(b.edges).id, 3))
+        hs.append(_with_pendant_path(b, rng.choice(b.vertex_ids)))
+        own.append(hs)
+    by_excess: dict[int, list[Multigraph]] = {}
+    for h in (h for hs in own for h in hs):
+        by_excess.setdefault(h.n_edges - h.n_vertices, []).append(h)
+    calls = traces = 0
+    for b, hs in zip(bases, own):
+        pool = [h for h in by_excess[b.n_edges - b.n_vertices] if h.n_edges >= b.n_edges]
+        for h in hs + rng.sample(pool, min(2, len(pool))):
+            [t] = splitting_traces(h, [b])
+            assert t == splitting_by_dfs(h, b) == splitting_by_bfs(h, [b])[0], (
+                [(e.id, e.u, e.v) for e in b.edges], [(e.id, e.u, e.v) for e in h.edges]
+            )
+            calls += 1
+            traces += t is not None
+    assert (len(bases), calls, traces, len(walks)) == (504, 3391, 2404, 203)
+
+
+def test_the_chain_walk_serves_only_walk_ends_of_maximum_degree_three():
+    # over the search's vertex limit, a base the chain walk serves gets
+    # an answer and any other base raises
+    def cycle(n):
+        return Multigraph.from_pairs([(i, i % n + 1) for i in range(1, n + 1)])
+
+    def theta(a, b, c):
+        return subdivided([(1, 2)] * 3, (a, b, c))
+
+    c16, theta_long = cycle(16), theta(1, 1, 15)
+    assert c16.n_vertices == theta_long.n_vertices == 16
+    assert len(is_even_splitting_of(c16, cycle(2)).steps) == 7
+    assert len(is_even_splitting_of(theta_long, base_graph("E1")).steps) == 7
+    d2 = base_graph("D2")
+    k23_pairs = [(e.u, e.v) for e in k23().edges]
+    for h, b in [
+        (c16, square()),  # a cycle: the walk would shorten it further
+        (theta_long, theta(1, 1, 3)),  # adjacent degree-2 vertices
+        (subdivided([(e.u, e.v) for e in d2.edges], (9,) + (1,) * 10), d2),  # degree four
+        (_with_pendant_path(subdivided(k23_pairs, (9, 1, 1, 1, 1, 1)), 1), k23()),
+    ]:
+        assert h.n_vertices > 14
+        with pytest.raises(CapabilityError, match="splitting search"):
+            splitting_traces(h, [b])
 
 
 def test_lift_through_subdivision():
@@ -384,9 +480,9 @@ def _lifts_agree(trace: SplittingTrace) -> list[Circuit]:
 
 
 def test_lift_through_trace_equals_the_case_by_case_oracle_on_witness_candidates():
-    graphs = list(connected_multigraphs(5, 8)[::3])
+    graphs = list(connected_multigraphs(5, 8)[::3]) + list(connected_multigraphs(5, 9)[::4])
     graphs += [wheel(5), wheel(6), wheel(7), grid(3, 3), k33(), *catalog().values()]
-    n_odd = n_digon = 0
+    n_odd = 0
     for g in graphs:
         for cand in witness_candidates(g):
             trace = cand.trace
@@ -396,30 +492,16 @@ def test_lift_through_trace_equals_the_case_by_case_oracle_on_witness_candidates
                 n_odd += 1
             lifted = sorted(_lifts_agree(trace), key=lambda c: (len(c), c.edge_ids))
             assert tuple(lifted) == cand.lifted
-            for state, step in zip(trace.replay_states(), trace.steps):
-                if isinstance(step, Degree2Contraction):
-                    e, f = (state.by_id[i] for i in step.edge_pair)
-                    n_digon += (e.u, e.v) == (f.u, f.v)
-    assert n_odd > 1000 and n_digon > 500
+    assert n_odd > 1000
 
 
-def _contracts_a_digon(trace: SplittingTrace) -> bool:
-    for state, step in zip(trace.replay_states(), trace.steps):
-        e, f = (state.by_id[i] for i in step.edge_pair)
-        if e.other(step.vertex) == f.other(step.vertex):
-            return True
-    return False
-
-
-def test_lifts_are_restrictions_unless_a_digon_is_contracted():
-    """Away from digon contractions, a candidate's lifted circuits are
-    exactly the even circuits of g inside its subset whose edges outside
-    the contracted ones form an even circuit of the base.  With a digon
-    step that can fail: evidence for the open question of whether digon
-    contractions belong in the splitting search."""
+def test_lifts_are_restrictions():
+    """A candidate's lifted circuits are exactly the even circuits of g
+    inside its subset whose edges outside the contracted ones form an
+    even circuit of the base."""
     graphs = list(connected_multigraphs(5, 8)[::2])
     graphs += [wheel(5), wheel(6), wheel(7), grid(3, 3), k33(), *catalog().values()]
-    held = Counter()
+    n_candidates = 0
     for g in graphs:
         evens = even_circuits(g)
         for cand in witness_candidates(g):
@@ -431,10 +513,9 @@ def test_lifts_are_restrictions_unless_a_digon_is_contracted():
                 c for c in evens
                 if c.edge_set <= cand.subset and c.edge_set - contracted in base_circuits
             )
-            digon = _contracts_a_digon(cand.trace)
-            held[digon, restricted == cand.lifted] += 1
-            assert digon or restricted == cand.lifted
-    assert held == {(False, True): 3493, (True, True): 871, (True, False): 23}
+            assert restricted == cand.lifted
+            n_candidates += 1
+    assert n_candidates == 2354
 
 
 def test_lift_even_circuit_equals_the_case_by_case_oracle_on_single_steps():
