@@ -7,7 +7,13 @@ of it, and of its contraction, has degree two or more.  Every scan reads
 one lazy candidate stream, which enumerates connected edge subsets in
 ascending size, and returns the first candidate whose rule the
 assignment triggers, so the witness is edge-minimal among those the
-search accepts.  The stream skips a subset, odd contractions included,
+search accepts.  The subsets come from a depth-first walk that cuts a
+branch once a vertex has degree one and no edge left to take; the scan
+budget still counts every mask.  Before any subgraph is built, the
+stream keeps a subset only at a base's edge excess (edges minus
+vertices), or one above it for an odd contraction, and builds an odd
+contraction only when the masks show it leaves no loop and no vertex
+of degree below two.  It also skips a subset, odd contractions included,
 when it holds fewer even circuits than any base it looks for: a base's
 even circuits lift injectively into the subset, so no match can be lost.
 Every scan matches by ``splitting_traces``, so only D2-D4 run a search
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from .catalog import EVEN_CIRCUIT_COUNT, WITNESS_BASES, base_graph, rule_triggered
@@ -86,6 +93,36 @@ def _candidate(
     return _Candidate(subset, base_name, odd_circuit, trace, tuple(lifted))
 
 
+def _stars(g: Multigraph) -> dict[int, int]:
+    """Per vertex, the mask of its edges; bit i is ``g.edges[i]``."""
+    stars = dict.fromkeys(g.vertex_ids, 0)
+    for i, (_, u, v) in enumerate(g.edges):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+    return stars
+
+
+def _nth_mask(n: int, min_size: int, m: int) -> Optional[tuple[int, int]]:
+    """(size, mask) of the mask at 0-based rank ``n`` among the masks of
+    ``min_size`` to ``m`` bits in (size, mask) order, or None when there
+    are no more than ``n``.  Masks of one size ascend in colex order, so
+    bits c_1 < ... < c_s have rank sum(C(c_i, i)) (Knuth, TAOCP 4A,
+    7.2.1.3) and the bits come greedily from the top."""
+    for size in range(min_size, m + 1):
+        if n >= comb(m, size):
+            n -= comb(m, size)
+            continue
+        mask, c = 0, m
+        for i in range(size, 0, -1):
+            c -= 1
+            while comb(c, i) > n:
+                c -= 1
+            n -= comb(c, i)
+            mask |= 1 << c
+        return size, mask
+    return None
+
+
 def _edge_subsets(
     g: Multigraph, min_size: int, budget: int
 ) -> Iterator[tuple[int, frozenset[int]]]:
@@ -95,21 +132,47 @@ def _edge_subsets(
     base nor an odd circuit plus arcs.
 
     Bit i of a mask is ``g.edges[i]``.  Masks come lazily in (size, mask)
-    order, by Gosper's hack.  Every mask of at least ``min_size`` edges,
-    loops included, counts against ``budget`` before filtering; the first
-    one over it raises ResourceLimitError.
+    order, from ``_pruned_walk``.  The budget still counts every mask of
+    at least ``min_size`` edges, loops and cut ones included: the walk
+    stops at the mask of rank ``budget`` in that order and raises
+    ResourceLimitError there, after yielding every kept mask below it.
+    """
+    m = len(g.edges)
+    min_size = max(min_size, 1)
+    stop = _nth_mask(budget, min_size, m)
+    walk = [i for i, (_, u, v) in enumerate(g.edges) if u != v]
+    # a size above the number of non-loop edges has no mask to yield
+    last = min(stop[0] if stop else m, len(walk))
+    if min_size <= last:
+        yield from _pruned_walk(g, walk, min_size, last, stop)
+    if stop:
+        raise ResourceLimitError(
+            f"witness scan budget of {budget} subsets exhausted; "
+            f"the search covered subsets of at most {stop[0]} edges", budget
+        )
+
+
+def _pruned_walk(
+    g: Multigraph, walk: list[int], first: int, last: int, stop: Optional[tuple[int, int]]
+) -> Iterator[tuple[int, frozenset[int]]]:
+    """The subsets ``_edge_subsets`` yields, of ``first`` to ``last`` edges
+    taken from the positions in ``walk``, and below the mask of ``stop``
+    at its size.
+
+    Per size a depth-first walk decides the bits from the highest down,
+    the 0-branch first, so masks come in ascending order.  It cuts a
+    branch as soon as a vertex it touched has degree one and no edge left
+    below to take; connectivity is tested at the leaves.
     """
     edges = g.edges
-    m = len(edges)
-    incident: dict[int, int] = {v: 0 for v in g.vertex_ids}
-    loop_bits = 0
-    for i, e in enumerate(edges):
-        incident[e.u] |= 1 << i
-        incident[e.v] |= 1 << i
-        if e.is_loop:
-            loop_bits |= 1 << i
-    stars = list(incident.values())
-    touching = [incident[e.u] | incident[e.v] for e in edges]  # edges sharing a vertex
+    vbit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+    stars = _stars(g)
+    touching = [stars[u] | stars[v] for _, u, v in edges]  # edges sharing a vertex
+    walk_ends = [vbit[edges[i].u] | vbit[edges[i].v] for i in walk]
+    # dead[q]: the vertices with no edge at a walk index below q
+    dead = [(1 << len(vbit)) - 1]
+    for b in walk_ends:
+        dead.append(dead[-1] & ~b)
 
     def connected(mask: int) -> bool:
         reached = mask & -mask
@@ -122,39 +185,57 @@ def _edge_subsets(
             reached |= frontier
         return reached == mask
 
-    examined = 0
-    for size in range(max(min_size, 1), m + 1):
-        mask = (1 << size) - 1
-        while not mask >> m:
-            examined += 1
-            if examined > budget:
-                raise ResourceLimitError(
-                    f"witness scan budget of {budget} subsets exhausted; "
-                    f"the search covered subsets of at most {size} edges", budget
-                )
-            if not mask & loop_bits and all(
-                not (x := mask & star) or x & (x - 1) for star in stars
-            ) and connected(mask):
-                yield mask, frozenset(edges[i].id for i in bits_to_indices(mask))
-            low = mask & -mask
-            high = mask + low
-            mask = (((high ^ mask) >> 2) // low) | high
+    for size in range(first, last + 1):
+        # no mask at or above the bound is walked
+        bound = stop[1] if stop and stop[0] == size else 1 << len(edges)
+        # (walk indices left, edges still to take, mask, degree-1 vertices, degree >= 2 ones)
+        stack = [(len(walk), size, 0, 0, 0)]
+        while stack:
+            top, left, mask, once, more = stack.pop()
+            if left == 1:  # the last edge, ascending; it must leave no degree-1 vertex
+                for q in range(top):
+                    if walk_ends[q] & ~more == once:
+                        leaf = mask | 1 << walk[q]
+                        if leaf >= bound:
+                            return
+                        if connected(leaf):
+                            yield leaf, frozenset(edges[i].id for i in bits_to_indices(leaf))
+                continue
+            for q in range(top - 1, left - 2, -1):  # pushed descending, so popped ascending
+                if once & dead[q + 1]:
+                    break
+                child = mask | 1 << walk[q]
+                if child >= bound:
+                    continue
+                b = walk_ends[q]
+                grown = more | (once & b)
+                single = (once ^ b) & ~grown
+                if not single & dead[q]:
+                    stack.append((q, left - 1, child, single, grown))
 
 
 def _circuit_masks(
     g: Multigraph, cap: int
-) -> tuple[list[int], list[tuple[int, frozenset[int]]]]:
-    """Even circuit masks, and (mask, edge ids) per odd circuit other than
-    a loop, with the bit layout of _edge_subsets."""
+) -> tuple[list[int], list[tuple[int, int, int, frozenset[int]]]]:
+    """Even circuit masks, and per odd circuit other than a loop its mask,
+    its chord mask (other edges with both ends on it), its leaving mask
+    (edges that meet it once; a loop at it counts, but no subset holds
+    one) and its edge ids, with the bit layout of _edge_subsets."""
     bit_of = {e.id: i for i, e in enumerate(g.edges)}
+    stars: dict[int, int] = {}
     even: list[int] = []
-    odd: list[tuple[int, frozenset[int]]] = []
+    odd: list[tuple[int, int, int, frozenset[int]]] = []
     for c in enumerate_circuits(g, cap):
         mask = indices_to_bits(bit_of[eid] for eid in c.edge_ids)
         if c.is_even:
             even.append(mask)
         elif len(c) > 1:
-            odd.append((mask, c.edge_set))
+            stars = stars or _stars(g)
+            touched = once = 0  # edges with an end on c; those with exactly one
+            for v, _ in c.sense:
+                touched |= stars[v]
+                once ^= stars[v]
+            odd.append((mask, touched & ~once & ~mask, once, c.edge_set))
     return even, odd
 
 
@@ -162,23 +243,28 @@ def _odd_contractions(
     g: Multigraph,
     subset: frozenset[int],
     mask: int,
-    odd: list[tuple[int, frozenset[int]]],
+    odd: list[tuple[int, int, int, frozenset[int]]],
     min_edges: int,
 ) -> Iterator[tuple[frozenset[int], Multigraph]]:
     """(odd circuit, contracted subgraph) for each odd circuit inside the
     subset that leaves at least ``min_edges`` edges, creates no loop and
-    keeps every degree at two or more, as ``_edge_subsets`` does."""
+    keeps every degree at two or more, as ``_edge_subsets`` does.  All
+    three are read off the masks, so only a contraction that is yielded
+    is built: the subset holds no chord of the circuit, which would
+    become a loop, and at least two of its edges leave the circuit, which
+    give the contracted vertex its degree; no other degree changes."""
     sub = None
-    for omask, oset in odd:
-        if omask & ~mask or (mask & ~omask).bit_count() < min_edges:
+    for omask, chords, leaving, oset in odd:
+        if (
+            omask & ~mask
+            or mask & chords
+            or (mask & leaving).bit_count() < 2
+            or (mask & ~omask).bit_count() < min_edges
+        ):
             continue
         if sub is None:
             sub = g.subgraph(subset)
-        contracted, _ = sub.contract_edges(oset)
-        if not any(e.is_loop for e in contracted.edges) and all(
-            len(inc) > 1 for inc in contracted.incidence.values()
-        ):
-            yield oset, contracted
+        yield oset, sub.contract_edges(oset)[0]
 
 
 def _candidates(
@@ -194,9 +280,14 @@ def _candidates(
     circuit contraction.  ``matches(h)`` gives (base name, trace from h)
     for each of ``bases`` that ``h`` matches.
 
-    A subset holding fewer even circuits of ``g`` than the fewest any of
-    ``bases`` has is skipped whole: no subgraph is built, no odd circuit
-    contracted and no match attempted.  That is exact.  A base's even
+    Two gates skip a subset before any subgraph is built, and both are
+    exact.  First, a degree-2 contraction drops two edges and two
+    vertices, so a graph matches a base only at the base's edge excess
+    (edges minus vertices); an odd circuit contraction lowers the excess
+    by one.  So a subset is matched directly only when its excess is
+    that of one of ``bases``, and through its odd contractions only when
+    one less is.  Second, a subset holding fewer even circuits of ``g``
+    than the fewest any of ``bases`` has is skipped whole.  A base's even
     circuits lift through the splitting trace and then through the odd
     circuit contraction to even circuits of ``g`` inside the subset, and
     the lifting is injective, because a lift meets the contracted graph
@@ -208,15 +299,23 @@ def _candidates(
     even_masks, odd = _circuit_masks(g, cap)
     min_edges = min(base_graph(name).n_edges for name in bases)
     min_count = min(EVEN_CIRCUIT_COUNT[name] for name in bases)
+    excesses = {b.n_edges - b.n_vertices for b in map(base_graph, bases)}
+    edges = g.edges
     for mask, subset in _edge_subsets(g, min_edges, budget):
+        ends = {v for i in bits_to_indices(mask) for v in (edges[i].u, edges[i].v)}
+        excess = len(subset) - len(ends)
+        if excess not in excesses and excess - 1 not in excesses:
+            continue
         if sum(1 for em in even_masks if em & ~mask == 0) < min_count:
             continue
-        direct = matches(g.subgraph(subset))
+        direct = matches(g.subgraph(subset)) if excess in excesses else []
         if direct:
             yield from (_candidate(g, subset, name, None, t) for name, t in direct)
-            continue
-        for oset, contracted in _odd_contractions(g, subset, mask, odd, min_edges):
-            yield from (_candidate(g, subset, name, oset, t) for name, t in matches(contracted))
+        elif excess - 1 in excesses:
+            for oset, contracted in _odd_contractions(g, subset, mask, odd, min_edges):
+                yield from (
+                    _candidate(g, subset, name, oset, t) for name, t in matches(contracted)
+                )
 
 
 def _split_matches(h: Multigraph, bases: tuple[str, ...]) -> list[tuple[str, SplittingTrace]]:
@@ -317,17 +416,25 @@ def scan_all_even(
 def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> bool:
     """Independently re-check a witness: replay the trace, re-match the
     base, recount the parity rule, and confirm the lifted circuits form an
-    intractable set for ``j``."""
+    intractable set for ``j``.  A contracted edge set that is not an odd
+    circuit of the subgraph, or a trace step that does not apply, makes
+    the witness false."""
     sub = g.subgraph(w.subgraph_edges)
     start = sub
     if w.odd_circuit_contracted is not None:
-        start, _ = sub.contract_edges(w.odd_circuit_contracted)
-        ring = circuit_from_edges(sub, w.odd_circuit_contracted)
+        try:
+            ring = circuit_from_edges(sub, w.odd_circuit_contracted)
+        except InputError:
+            return False
         if ring.is_even:
             return False
+        start, _ = sub.contract_edges(w.odd_circuit_contracted)
     if w.splitting_trace.from_graph != start:
         return False
-    reached = w.splitting_trace.replay()
+    try:
+        reached = w.splitting_trace.replay()
+    except InputError:
+        return False
     if not find_isomorphism(reached, base_graph(w.base_name)):
         return False
     expected = EVEN_CIRCUIT_COUNT[w.base_name]

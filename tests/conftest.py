@@ -13,9 +13,10 @@ from paritygraph.circuits import (
     DEFAULT_CIRCUIT_CAP,
     Circuit,
     circuit_from_edges,
+    enumerate_circuits,
     even_circuit_connectivity_witness,
 )
-from paritygraph.errors import CapabilityError, ContractError, InputError
+from paritygraph.errors import CapabilityError, ContractError, InputError, ResourceLimitError
 from paritygraph.gf2 import Gf2Matrix
 from paritygraph.graphs import ISO_VERTEX_LIMIT, is_bipartite
 from paritygraph.pfaffian import enumerate_perfect_matchings
@@ -558,11 +559,77 @@ def _lift_one_step(c: Circuit, g_before: Multigraph, g_after: Multigraph, step) 
     return circuit_from_edges(g_before, c.edge_set | path)
 
 
+def edge_subsets_by_gosper(g: Multigraph, min_size: int, budget: int):
+    """``scanner._edge_subsets`` as a filter over every mask: masks of each
+    size in ascending order by Gosper's hack, each counted against the
+    budget, then kept when loop-free, of minimum degree two and connected."""
+    edges = g.edges
+    m = len(edges)
+    incident: dict[int, int] = {v: 0 for v in g.vertex_ids}
+    loop_bits = 0
+    for i, e in enumerate(edges):
+        incident[e.u] |= 1 << i
+        incident[e.v] |= 1 << i
+        if e.is_loop:
+            loop_bits |= 1 << i
+    stars = list(incident.values())
+    touching = [incident[e.u] | incident[e.v] for e in edges]
+
+    def connected(mask: int) -> bool:
+        reached = mask & -mask
+        frontier = reached
+        while frontier:
+            grown = 0
+            for i in range(m):
+                if frontier >> i & 1:
+                    grown |= touching[i]
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        return reached == mask
+
+    examined = 0
+    for size in range(max(min_size, 1), m + 1):
+        mask = (1 << size) - 1
+        while not mask >> m:
+            examined += 1
+            if examined > budget:
+                raise ResourceLimitError(
+                    f"witness scan budget of {budget} subsets exhausted; "
+                    f"the search covered subsets of at most {size} edges", budget
+                )
+            if not mask & loop_bits and all(
+                not (x := mask & star) or x & (x - 1) for star in stars
+            ) and connected(mask):
+                yield mask, frozenset(edges[i].id for i in range(m) if mask >> i & 1)
+            low = mask & -mask
+            high = mask + low
+            mask = (((high ^ mask) >> 2) // low) | high
+
+
+def odd_contractions_by_building(g: Multigraph, subset: frozenset[int], min_edges: int):
+    """``scanner._odd_contractions`` by building first: each odd circuit of
+    ``g`` other than a loop, inside the subset and leaving at least
+    ``min_edges`` edges, is contracted in the subgraph, and the result is
+    kept when it has no loop and no vertex of degree below two."""
+    sub = g.subgraph(subset)
+    for c in enumerate_circuits(g, DEFAULT_CIRCUIT_CAP):
+        if c.is_even or len(c) == 1 or not c.edge_set <= subset:
+            continue
+        if len(subset) - len(c) < min_edges:
+            continue
+        contracted, _ = sub.contract_edges(c.edge_set)
+        if not any(e.is_loop for e in contracted.edges) and all(
+            contracted.degree(v) >= 2 for v in contracted.vertex_ids
+        ):
+            yield c.edge_set, contracted
+
+
 def candidates_without_skips(g: Multigraph, bases, budget: int, cap: int, matches):
-    """``scanner._candidates`` before the even-circuit skip: every subset
-    is matched directly when it holds enough even circuits of ``g``, and a
-    subset with no direct match tries each of its odd circuit
-    contractions, however few even circuits of ``g`` it holds."""
+    """``scanner._candidates`` before the even-circuit skip and the edge
+    excess gate: every subset is matched directly when it holds enough
+    even circuits of ``g``, whatever its excess, and a subset with no
+    direct match tries each of its odd circuit contractions, however few
+    even circuits of ``g`` it holds."""
     even_masks, odd = scanner._circuit_masks(g, cap)
     min_edges = min(base_graph(name).n_edges for name in bases)
     min_count = min(EVEN_CIRCUIT_COUNT[name] for name in bases)
@@ -579,9 +646,10 @@ def candidates_without_skips(g: Multigraph, bases, budget: int, cap: int, matche
 
 
 def witness_candidates_without_skips(g: Multigraph, budget: int, cap: int) -> tuple:
-    """``witness_candidates`` with neither skip: no even-circuit count
-    check before the odd contractions and no memo of refuted graphs, so
-    every graph offered runs the splitting search over all nine bases."""
+    """``witness_candidates`` with none of the skips: no edge excess gate,
+    no even-circuit count check before the odd contractions and no memo
+    of refuted graphs, so every graph offered runs the splitting search
+    over all nine bases."""
     return tuple(
         candidates_without_skips(
             g, WITNESS_BASES, budget, cap, lambda h: scanner._split_matches(h, WITNESS_BASES)
@@ -591,8 +659,8 @@ def witness_candidates_without_skips(g: Multigraph, budget: int, cap: int) -> tu
 
 def subdivision_scan_without_skips(g: Multigraph, bases, j, budget: int, cap: int):
     """``scan_all_odd`` or ``scan_all_even`` on the stream without the
-    even-circuit skip, matching by the chain walk and backtracking
-    isomorphism."""
+    even-circuit skip and the edge excess gate, matching by the chain
+    walk and backtracking isomorphism."""
 
     def matches(h: Multigraph):
         trace = subdivision_trace(h)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -21,7 +22,10 @@ from paritygraph.errors import CapabilityError, InputError, ResourceLimitError
 from paritygraph.fileio import emit_graph
 from paritygraph.scanner import (
     DEFAULT_SCAN_BUDGET,
+    ForbiddenWitness,
+    _circuit_masks,
     _edge_subsets,
+    _odd_contractions,
     find_witness,
     scan_all_even,
     scan_all_odd,
@@ -36,11 +40,14 @@ from paritygraph.transforms import (
 )
 
 from conftest import (
+    edge_subsets_by_gosper,
     grid,
     is_connected,
     k23,
     k33,
     k4,
+    odd_contractions_by_building,
+    relabelled,
     square,
     subdivided,
     subdivision_scan_without_skips,
@@ -88,6 +95,20 @@ def test_scan_all_odd_o2_via_triangle_contraction():
     assert w.odd_circuit_contracted is not None
     assert len(w.odd_circuit_contracted) == 3
     assert verify_witness(o2, ParityAssignment.all_odd(), w)
+
+
+def test_verify_witness_is_false_when_the_contracted_edges_are_no_odd_circuit():
+    o2 = base_graph("O2")
+    j = ParityAssignment.all_odd()
+    w = scan_all_odd(o2)
+    ring = sorted(w.odd_circuit_contracted)
+    path = frozenset(ring[:2])  # two edges of the triangle: no circuit
+    missing = frozenset(ring[:2] + [max(o2.edge_id_set) + 1])  # not in the subgraph
+    for contracted in (path, missing):
+        forged = ForbiddenWitness(
+            w.base_name, w.subgraph_edges, contracted, w.splitting_trace, w.circuit_parities
+        )
+        assert verify_witness(o2, j, forged) is False
 
 
 def test_scan_all_even_examples():
@@ -342,6 +363,116 @@ def test_edge_subsets_budget_counts_masks_before_filtering(budget):
     assert f"covered subsets of at most {size} edges" in str(info.value)
 
 
+def _stream(subsets):
+    """The (mask, edge ids) pairs a subset stream yields, and the type and
+    text of the error that ends it, or None."""
+    got = []
+    try:
+        for item in subsets:
+            got.append(item)
+    except ResourceLimitError as e:
+        return got, (type(e), str(e))
+    return got, None
+
+
+def walk_oracle_graphs():
+    """W5, K33 with a loop and a parallel edge, and three corpus graphs
+    with loops and parallel edges, their ids negative, sparse and out of
+    the original order."""
+    from paritygraph.corpus import connected_multigraphs
+
+    pool = connected_multigraphs(5, 8)
+    vertex_ids = [40, -7, 3, -100, 0]
+    edge_ids = [1000, -2, 77, 5, -11, 300, 9, -40]
+    k33_plus = Multigraph.build(
+        k33().vertex_ids, [(e.id, e.u, e.v) for e in k33().edges] + [(10, 2, 2), (11, 1, 4)]
+    )
+    corpus = [
+        relabelled(pool[i], vertex_ids[: pool[i].n_vertices], edge_ids[: pool[i].n_edges])
+        for i in (1234, 2100, 2900)
+    ]
+    return [wheel(5), k33_plus] + corpus
+
+
+@pytest.mark.parametrize("g", walk_oracle_graphs(), ids=["W5", "K33+", "c1234", "c2100", "c2900"])
+def test_edge_subsets_equal_the_gosper_stream_at_every_budget(g):
+    # every mask of at least three edges counts, so budgets 1 .. total
+    # cover a stop at every mask, loops and cut branches included
+    total = sum(math.comb(g.n_edges, s) for s in range(3, g.n_edges + 1))
+    for budget in range(1, total + 1):
+        expected = _stream(edge_subsets_by_gosper(g, 3, budget))
+        assert _stream(_edge_subsets(g, 3, budget)) == expected, budget
+    assert expected[1] is None and len(expected[0]) > 0
+
+
+def test_edge_subsets_equal_the_gosper_stream_on_grid_3x3_at_sampled_budgets():
+    g = grid(3, 3)
+    total = 2**12 - 1 - 12 - 66  # masks of three or more of its 12 edges
+    # every 97th budget, and both sides of the first size changes and the end
+    budgets = sorted({1, 2, 219, 220, 221, 714, 715, 716, total - 1, total, total + 1}
+                     | set(range(3, total, 97)))
+    for min_size in (3, 6):
+        for budget in budgets:
+            expected = _stream(edge_subsets_by_gosper(g, min_size, budget))
+            assert _stream(_edge_subsets(g, min_size, budget)) == expected, (min_size, budget)
+
+
+def test_odd_contractions_equal_the_build_then_test_oracle():
+    # only contractions that are yielded are built, by mask tests alone
+    from paritygraph.corpus import connected_multigraphs
+
+    graphs = list(connected_multigraphs(5, 8)[::4]) + [wheel(n) for n in (5, 6, 7)] + [
+        base_graph(n) for n in CATALOG_NAMES
+    ]
+    pairs = 0
+    for g in graphs:
+        _, odd = _circuit_masks(g, DEFAULT_CIRCUIT_CAP)
+        for mask, subset in _edge_subsets(g, 3, 1 << g.n_edges):
+            for min_edges in (3, 6):
+                got = list(_odd_contractions(g, subset, mask, odd, min_edges))
+                assert got == list(odd_contractions_by_building(g, subset, min_edges))
+                pairs += len(got)
+    assert pairs > 1000
+
+
+# (graph, budget, find_witness under either assignment, scan_all_odd,
+# scan_all_even): an int is the edge count the budget error reports, a
+# set the edges of the E1 witness found
+LARGE_SCAN_OUTCOMES = [
+    ("W9", 200_000, 11, 11, {1, 2, 3, 4, 10, 12, 14}),
+    ("W9", 5000, 5, 6, 5),
+    ("W10", 200_000, 8, 8, {1, 2, 3, 4, 11, 13, 15}),
+    ("W10", 5000, 4, 6, 4),
+    ("grid4x4", 200_000, 7, 7, {1, 2, 3, 4, 6, 8, 10}),
+    ("grid4x4", 5000, 4, 6, 4),
+]
+
+
+@pytest.mark.parametrize("name, budget, witness, odd, even", LARGE_SCAN_OUTCOMES)
+def test_large_scans_keep_their_outcomes(name, budget, witness, odd, even):
+    g = {"W9": wheel(9), "W10": wheel(10), "grid4x4": grid(4, 4)}[name]
+    j_odd, j_even = ParityAssignment.all_odd(), ParityAssignment.all_even()
+    scans = [
+        (lambda: find_witness(g, j_odd, budget), witness),
+        (lambda: find_witness(g, j_even, budget), witness),
+        (lambda: scan_all_odd(g, budget), odd),
+        (lambda: scan_all_even(g, budget), even),
+    ]
+    for scan, outcome in scans:
+        if isinstance(outcome, int):
+            message = (
+                f"witness scan budget of {budget} subsets exhausted; "
+                f"the search covered subsets of at most {outcome} edges"
+            )
+            with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+                scan()
+        else:
+            w = scan()
+            assert w.base_name == "E1" and w.odd_circuit_contracted is None
+            assert w.subgraph_edges == outcome
+            assert verify_witness(g, j_even, w)
+
+
 def test_grid_4x4_scans_stop_at_the_budget_in_little_memory():
     # the subsets are generated lazily, so the default budget stops the
     # search long before anything proportional to 2^24 is allocated
@@ -420,9 +551,10 @@ def test_every_matched_graph_is_loop_free_with_degrees_at_least_two(monkeypatch)
         assert all(h.degree(v) >= 2 for v in h.vertex_ids), [(e.id, e.u, e.v) for e in h.edges]
 
 
-@pytest.mark.parametrize("g, calls", [(wheel(7), 209), (wheel(8), 327)])
+@pytest.mark.parametrize("g, calls", [(wheel(7), 189), (wheel(8), 254)])
 def test_cold_wheel_splitting_search_counts_are_pinned(g, calls, monkeypatch):
-    # 2270 and 6779 matches with neither skip
+    # 2270 and 6779 matches with neither skip; 209 and 327 before the
+    # stream matched only subsets at a base's edge excess
     made = []
 
     def counted(h, bases):
@@ -432,6 +564,38 @@ def test_cold_wheel_splitting_search_counts_are_pinned(g, calls, monkeypatch):
     monkeypatch.setattr(scanner, "splitting_traces", counted)
     witness_candidates.__wrapped__(g)
     assert len(made) == calls
+
+
+def test_cold_w8_builds_only_the_odd_contractions_it_yields(monkeypatch):
+    # chords and leaving edges are read off masks, so no contraction is
+    # built to be thrown away (7376 built for 3448 yielded when each was
+    # built first)
+    built, yielded, inside = [], [], [False]
+    contract_edges = Multigraph.contract_edges
+    odd_contractions = scanner._odd_contractions
+
+    def counted_contract(self, edge_ids):
+        if inside[0]:
+            built.append(edge_ids)
+        return contract_edges(self, edge_ids)
+
+    def counted_stream(*args):
+        stream = odd_contractions(*args)
+        while True:
+            inside[0] = True
+            try:
+                item = next(stream)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(Multigraph, "contract_edges", counted_contract)
+    monkeypatch.setattr(scanner, "_odd_contractions", counted_stream)
+    witness_candidates.__wrapped__(wheel(8))
+    assert len(built) == len(yielded) == 2800
 
 
 def test_vertex_limit_fires_before_any_key_is_computed(monkeypatch):

@@ -18,6 +18,23 @@ def test_no_runtime_assert_in_package():
     assert offenders == []
 
 
+def test_no_bare_or_broad_except_in_package():
+    # a handler that catches everything may hide a bug; each one names
+    # the typed errors it expects
+    offenders = []
+    for path in sorted(Path(paritygraph.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(
+                t is None or isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+                for t in caught
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _library_table_rows():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     for line in readme.read_text().splitlines():

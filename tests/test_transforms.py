@@ -97,8 +97,7 @@ def test_no_step_contracts_a_digon():
     forged = ForbiddenWitness(
         "O1", g.edge_id_set, None, SplittingTrace(g, folded, (step,)), direct.circuit_parities
     )
-    with pytest.raises(InputError, match="vertex 6"):
-        verify_witness(g, j, forged)
+    assert verify_witness(g, j, forged) is False
 
 
 def test_e3_pair_contraction_merges_adjacent_corners():
