@@ -16,13 +16,13 @@ contraction only when the masks show it leaves no loop and no vertex
 of degree below two.  It also skips a subset, odd contractions included,
 when it holds fewer even circuits than any base it looks for: a base's
 even circuits lift injectively into the subset, so no match can be lost.
-Every scan matches by ``splitting_traces``, so only D2-D4 run a search
-and meet SPLITTING_VERTEX_LIMIT.  ``find_witness`` looks for all nine
-bases, and its candidates do not depend on the assignment, so one cached
-scan serves many assignments; within one scan a graph isomorphic to one
-already refuted is refuted by its ``canonical_key``.  ``scan_all_odd``
-and ``scan_all_even`` look only for O1, E1 and E3, and every candidate
-they meet triggers its rule.
+Every scan matches by ``splitting_traces``, the chain walk plus branch
+merges, with no search, no vertex limit and no memo of earlier answers;
+no graph a scan offers lies outside its domain.  ``find_witness`` looks
+for all nine bases, and its candidates do not depend on the
+assignment, so one cached scan serves many assignments.
+``scan_all_odd`` and ``scan_all_even`` look only for O1, E1 and E3, and
+every candidate they meet triggers its rule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .catalog import EVEN_CIRCUIT_COUNT, WITNESS_BASES, base_graph, rule_triggered
 from .circuits import (
@@ -43,10 +43,9 @@ from .circuits import (
 )
 from .errors import InputError, ResourceLimitError
 from .gf2 import bits_to_indices, indices_to_bits
-from .graphs import GraphKey, Multigraph, canonical_key, find_isomorphism
+from .graphs import Multigraph, find_isomorphism
 from .solver import ParityAssignment, is_intractable_set
 from .transforms import (
-    SPLITTING_VERTEX_LIMIT,
     OddCircuitContraction,
     SplittingTrace,
     lift_through_trace,
@@ -272,13 +271,11 @@ def _candidates(
     bases: tuple[str, ...],
     budget: int,
     cap: int,
-    matches: Callable[[Multigraph], list[tuple[str, SplittingTrace]]],
 ) -> Iterator[_Candidate]:
     """Each (subset, base, optional odd contraction) match in the graph,
     lazily: subsets in (size, mask) order; per subset, its direct matches
     in base order or, when there are none, its matches after each odd
-    circuit contraction.  ``matches(h)`` gives (base name, trace from h)
-    for each of ``bases`` that ``h`` matches.
+    circuit contraction, all by ``_split_matches``.
 
     Two gates skip a subset before any subgraph is built, and both are
     exact.  First, a degree-2 contraction drops two edges and two
@@ -308,13 +305,14 @@ def _candidates(
             continue
         if sum(1 for em in even_masks if em & ~mask == 0) < min_count:
             continue
-        direct = matches(g.subgraph(subset)) if excess in excesses else []
+        direct = _split_matches(g.subgraph(subset), bases) if excess in excesses else []
         if direct:
             yield from (_candidate(g, subset, name, None, t) for name, t in direct)
         elif excess - 1 in excesses:
             for oset, contracted in _odd_contractions(g, subset, mask, odd, min_edges):
                 yield from (
-                    _candidate(g, subset, name, oset, t) for name, t in matches(contracted)
+                    _candidate(g, subset, name, oset, t)
+                    for name, t in _split_matches(contracted, bases)
                 )
 
 
@@ -334,28 +332,8 @@ def witness_candidates(
 
     Assignment-independent: pairing these with a parity rule is all a scan
     per assignment has to do.
-
-    Whether a graph is an even splitting of a base does not depend on its
-    labels, so the matcher keeps the ``canonical_key`` of every graph
-    ``splitting_traces`` refutes for all nine bases, and a later
-    isomorphic graph gets no match without a second one.  A graph with a
-    match is always matched again, because its trace depends on the
-    labels.  The keys live as long as this one candidate stream.
     """
-    refuted: set[GraphKey] = set()
-
-    def matches(h: Multigraph) -> list[tuple[str, SplittingTrace]]:
-        if h.n_vertices > SPLITTING_VERTEX_LIMIT:  # no key, as the search may refuse h
-            return _split_matches(h, WITNESS_BASES)
-        key = canonical_key(h)
-        if key in refuted:
-            return []
-        found = _split_matches(h, WITNESS_BASES)
-        if not found:
-            refuted.add(key)
-        return found
-
-    return tuple(_candidates(g, WITNESS_BASES, budget, cap, matches))
+    return tuple(_candidates(g, WITNESS_BASES, budget, cap))
 
 
 def _first_triggered(
@@ -389,8 +367,7 @@ def _scan(
     g: Multigraph, bases: tuple[str, ...], j: ParityAssignment, budget: int, cap: int
 ) -> Optional[ForbiddenWitness]:
     """The first witness among ``bases`` whose rule ``j`` triggers."""
-    stream = _candidates(g, bases, budget, cap, lambda h: _split_matches(h, bases))
-    return _first_triggered(stream, j)
+    return _first_triggered(_candidates(g, bases, budget, cap), j)
 
 
 def scan_all_odd(
@@ -416,10 +393,14 @@ def scan_all_even(
 def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> bool:
     """Independently re-check a witness: replay the trace, re-match the
     base, recount the parity rule, and confirm the lifted circuits form an
-    intractable set for ``j``.  A contracted edge set that is not an odd
-    circuit of the subgraph, or a trace step that does not apply, makes
-    the witness false."""
-    sub = g.subgraph(w.subgraph_edges)
+    intractable set for ``j``.  Subgraph edges that ``g`` lacks, a
+    contracted edge set that is not an odd circuit of the subgraph, a
+    trace step that does not apply, or a listed edge set that is not a
+    circuit of ``g`` makes the witness false."""
+    try:
+        sub = g.subgraph(w.subgraph_edges)
+    except InputError:
+        return False
     start = sub
     if w.odd_circuit_contracted is not None:
         try:
@@ -443,7 +424,10 @@ def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> b
     if not rule_triggered(w.base_name, (p for _, p in w.circuit_parities)):
         return False
     for edge_set, parity in w.circuit_parities:
-        c = circuit_from_edges(g, edge_set)
+        try:
+            c = circuit_from_edges(g, edge_set)
+        except InputError:
+            return False
         if not c.is_even or j.parity_for(c) != parity:
             return False
     return is_intractable_set(g, j, [s for s, _ in w.circuit_parities])

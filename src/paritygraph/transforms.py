@@ -5,9 +5,9 @@ Contracting the two edges at a degree-2 vertex is the inverse of an even
 vertex splitting.  A step applies only at a vertex with two non-loop
 edges to distinct neighbours, so it drops two edges and two vertices and
 never folds a digon away.  ``splitting_traces`` is the one matcher for
-chains of steps: the chain walk ``subdivision_trace`` for the bases of
-maximum degree three it leaves as they are (inputs with no degree-1
-vertex), else a breadth-first search, which SPLITTING_VERTEX_LIMIT bounds.
+chains of steps, with no search and no vertex limit: the chain walk
+``subdivision_trace`` plus merges of branch vertices joined by 2-edge
+chains, as many as the base's edge excess bounds.
 
 Even circuits lift uniquely backwards through both this contraction and
 the contraction of an odd circuit, which is what makes parity
@@ -21,6 +21,7 @@ even side of the odd circuit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .circuits import (
@@ -32,8 +33,6 @@ from .circuits import (
 from .errors import CapabilityError, InputError
 from .graphs import ContractionMap, Multigraph, canonical_key
 from .solver import ParityAssignment
-
-SPLITTING_VERTEX_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -131,70 +130,70 @@ def splitting_traces(
     """Per base, the lexicographically least chain of degree-2
     contractions from ``h`` to a graph isomorphic to it, or None.
 
-    A base of maximum degree three that the chain walk leaves as it is
-    matches by ``subdivision_trace(h)`` when ``h`` has no vertex of
-    degree one.  Then no step lowers a degree, and a step between two
-    vertices of degree three makes one of degree four, so every chain to
-    the base shortens degree-2 chains only.  All such chains end in one
-    graph up to isomorphism, so the walk, which takes the smallest useful
-    vertex each time, finds the least one.
-
-    The other bases share one breadth-first search, children in ascending
-    vertex order, so the first trace found per base is its least.  A
-    state is dropped when an earlier one, at the same depth, has its
-    ``canonical_key``, and matches a base with the same key.  When this
-    search must run on an input over SPLITTING_VERTEX_LIMIT vertices it
-    raises CapabilityError before any work.
+    With no vertex of degree one in ``h``, a step either shortens a
+    degree-2 chain by two edges or merges two branch vertices joined by
+    a 2-edge chain.  The two kinds commute, so ``h`` reaches a base that
+    the walk leaves as it is iff its walk end ``subdivision_trace(h)``
+    does by merges alone.  Steps keep the excess X = edges - vertices,
+    and a connected walk end at excess X has at most 2X branch vertices
+    and 3X chains, so the merges are bounded by the base, not the input.
+    The trace is the walk when no merge is needed; otherwise each step
+    takes the smallest vertex after which the walk end still reaches
+    the base.  An input with a vertex of degree one, or a base with a
+    vertex of ``_walk_vertices``, raises CapabilityError once such a
+    base passes the size test.
     """
     found: list[Optional[SplittingTrace]] = [None] * len(bases)
-    walked: list[int] = []
-    by_size: dict[int, list[int]] = {}
-    pendant = any(h.degree(v) == 1 for v in h.vertex_ids)
+    sized = []
     for i, b in enumerate(bases):
         diff = h.n_edges - b.n_edges
         # each contraction drops two edges and two vertices
-        if diff < 0 or diff % 2 or diff != h.n_vertices - b.n_vertices:
-            continue
-        if not pendant and all(b.degree(v) <= 3 for v in b.vertex_ids) and not _walk_vertices(b):
-            walked.append(i)
-        else:
-            by_size.setdefault(b.n_edges, []).append(i)
-    if by_size and h.n_vertices > SPLITTING_VERTEX_LIMIT:
-        raise CapabilityError(
-            f"splitting search supported up to {SPLITTING_VERTEX_LIMIT} vertices"
-        )
-    walk = subdivision_trace(h) if walked else None
-    for i in walked:
-        end = walk.to_graph
-        if end.n_edges == bases[i].n_edges and canonical_key(end) == canonical_key(bases[i]):
-            found[i] = walk
-    if not by_size:
+        if diff >= 0 and not diff % 2 and diff == h.n_vertices - b.n_vertices:
+            sized.append(i)
+    if not sized:
         return found
-    todo = sum(len(ids) for ids in by_size.values())
-    min_edges = min(by_size)
-    seen = {canonical_key(h)}
-    frontier: list[tuple[Multigraph, tuple[Step, ...]]] = [(h, ())]
-    while frontier:
-        next_frontier = []
-        for g, steps in frontier:
-            for i in by_size.get(g.n_edges, ()):
-                if found[i] is None and canonical_key(g) == canonical_key(bases[i]):
-                    found[i] = SplittingTrace(h, g, steps)
-                    todo -= 1
-            if not todo:
-                return found
-            if g.n_edges - 2 < min_edges:
-                continue
-            for v in degree2_options(g):
-                child, _ = contract_degree2_pair(g, v)
-                key = canonical_key(child)
-                if key not in seen:
-                    seen.add(key)
-                    inc = g.incidence[v]
-                    step = Degree2Contraction(v, (inc[0].id, inc[1].id))
-                    next_frontier.append((child, steps + (step,)))
-        frontier = next_frontier
+    if any(h.degree(v) == 1 for v in h.vertex_ids) or any(_walk_vertices(bases[i]) for i in sized):
+        raise CapabilityError("splitting match needs an input with no vertex of degree one "
+                              "and a base the chain walk leaves as it is")
+    walk = subdivision_trace(h)
+    for i in sized:
+        if _merges_reach(walk.to_graph, bases[i]):
+            done = walk.to_graph.n_edges == bases[i].n_edges
+            found[i] = walk if done else _least_trace(h, bases[i])
     return found
+
+
+def _merges_reach(end: Multigraph, b: Multigraph) -> bool:
+    """Whether k = (end edges - base edges) / 2 merges in the walk end
+    ``end`` give a graph isomorphic to ``b``.  A merge contracts a vertex
+    of ``degree2_options`` and removes one degree-2 vertex, so ``end``
+    needs k more of them than ``b``.  Merges that close no cycle may be
+    contracted at once; a set that closes one drops fewer vertices."""
+    k = (end.n_edges - b.n_edges) // 2
+    twos = [sum(g.degree(v) == 2 for v in g.vertex_ids) for g in (end, b)]
+    if k < 0 or twos[0] - k != twos[1]:
+        return False
+    key = canonical_key(b)
+    for chosen in combinations(degree2_options(end), k):
+        merged, _ = end.contract_edges(e.id for v in chosen for e in end.incidence[v])
+        if canonical_key(merged) == key:
+            return True
+    return False
+
+
+def _least_trace(h: Multigraph, b: Multigraph) -> SplittingTrace:
+    """The least trace from ``h``, which reaches ``b``: per step, the
+    smallest vertex after which the walk end still reaches ``b``."""
+    g, steps = h, []
+    for _ in range((h.n_edges - b.n_edges) // 2):
+        v = next(
+            v for v in degree2_options(g)
+            if _merges_reach(subdivision_trace(contract_degree2_pair(g, v)[0]).to_graph, b)
+        )
+        inc = g.incidence[v]
+        steps.append(Degree2Contraction(v, (inc[0].id, inc[1].id)))
+        g, _ = contract_degree2_pair(g, v)
+    return SplittingTrace(h, g, tuple(steps))
 
 
 def is_even_splitting_of(h: Multigraph, b: Multigraph) -> Optional[SplittingTrace]:
@@ -214,9 +213,8 @@ def subdivision_trace(h: Multigraph) -> SplittingTrace:
     ``_walk_vertices``, while one exists.
 
     ``to_graph`` keeps each chain's length parity, so ``h`` is an even
-    subdivision of a base iff ``to_graph`` is isomorphic to it.  This is
-    how ``splitting_traces`` matches the bases of maximum degree three,
-    with no search and no vertex limit.
+    subdivision of a base iff ``to_graph`` is isomorphic to it.
+    ``splitting_traces`` matches every base from this walk end.
     """
     g, steps = h, []
     while inner := _walk_vertices(g):

@@ -21,7 +21,6 @@ from paritygraph.gf2 import Gf2Matrix
 from paritygraph.graphs import ISO_VERTEX_LIMIT, is_bipartite
 from paritygraph.pfaffian import enumerate_perfect_matchings
 from paritygraph.transforms import (
-    SPLITTING_VERTEX_LIMIT,
     Degree2Contraction,
     SplittingTrace,
     apply_step,
@@ -362,7 +361,7 @@ def two_connected_by_brute_force(g: Multigraph) -> bool:
     return True
 
 
-def splitting_by_dfs(h: Multigraph, b: Multigraph, vertex_limit: int = SPLITTING_VERTEX_LIMIT):
+def splitting_by_dfs(h: Multigraph, b: Multigraph, vertex_limit: int = 14):
     """is_even_splitting_of as it was before the one breadth-first search:
     depth-first over degree-2 contractions in ascending vertex order,
     memoising dead states up to isomorphism (equality above 12 vertices)."""

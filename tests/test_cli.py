@@ -126,7 +126,22 @@ w-circuit odd 14 1 2 3 4 5 6 7 8 9 10 11 13 14 16
 """
 
 
-def test_scan_over_the_splitting_limit_exits_2(files, capsys):
+D3_ONE_EVEN_WITNESS = """\
+WITNESS D3
+w-edges 18 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18
+w-step contract-degree2 8 1 2
+w-step contract-degree2 10 3 4
+w-step contract-degree2 12 5 6
+w-step contract-degree2 14 7 8
+w-circuit even 6 10 11 12 16 17 18
+w-circuit odd 6 10 11 13 14 15 18
+w-circuit odd 12 1 2 3 4 5 6 7 8 9 12 15 18
+w-circuit odd 14 1 2 3 4 5 6 7 8 9 13 14 16 17 18
+CROSS-CHECK OK
+"""
+
+
+def test_scan_over_fourteen_vertices_answers(files, capsys):
     # K_{2,3} with one edge made an 11-edge path: 15 vertices.  Every scan
     # walks its chains, so an assignment file finds the all-odd witness.
     big = subdivided([(e.u, e.v) for e in k23().edges], (11, 1, 1, 1, 1, 1))
@@ -134,13 +149,18 @@ def test_scan_over_the_splitting_limit_exits_2(files, capsys):
     odd = files("odd.j", "j-all odd\n")
     assert run(capsys, "scan", g, "--all-odd") == (0, BIG_ALL_ODD_WITNESS, "")
     assert run(capsys, "scan", g, odd) == (0, BIG_ALL_ODD_WITNESS, "")
-    # D3 with one edge made a 9-edge path: 15 vertices, the size of a D3
-    # splitting, so an assignment file runs the splitting search
+    # D3 with one edge made a 9-edge path: 15 vertices and the size of a
+    # D3 splitting.  This exited 2 ("splitting search supported up to 14
+    # vertices") while D2-D4 were matched by a breadth-first search; now
+    # all-odd has no witness, and one even circuit prescribed even makes
+    # the whole graph a D3 witness
     d3 = subdivided([(e.u, e.v) for e in base_graph("D3").edges], (9,) + (1,) * 9)
     g = files("d3.graph", emit_graph(d3))
-    code, out, err = run(capsys, "scan", g, odd, "--budget", "1000000")
-    assert code == 2 and out == ""
-    assert err == "error: splitting search supported up to 14 vertices\n"
+    code, out, err = run(capsys, "scan", g, odd, "--budget", "1000000", "--cross-check")
+    assert (code, out, err) == (1, "NO-WITNESS\nCROSS-CHECK OK\n", "")
+    one = files("one.j", "j even 6 10 11 12 16 17 18\n")
+    argv = ("scan", g, one, "--default-parity", "odd", "--budget", "1000000", "--cross-check")
+    assert run(capsys, *argv) == (0, D3_ONE_EVEN_WITNESS, "")
 
 
 @pytest.mark.parametrize(

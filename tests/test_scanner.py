@@ -14,11 +14,16 @@ from paritygraph import (
     even_circuits,
 )
 import paritygraph.scanner as scanner
-import paritygraph.transforms as transforms
-from paritygraph.catalog import CATALOG_NAMES, EVEN_CIRCUIT_COUNT, base_graph
+from paritygraph.catalog import (
+    CATALOG_NAMES,
+    EVEN_CIRCUIT_COUNT,
+    PARITY_RULE,
+    WITNESS_BASES,
+    base_graph,
+)
 from paritygraph.circuits import DEFAULT_CIRCUIT_CAP
 from paritygraph.cli import main
-from paritygraph.errors import CapabilityError, InputError, ResourceLimitError
+from paritygraph.errors import InputError, ResourceLimitError
 from paritygraph.fileio import emit_graph
 from paritygraph.scanner import (
     DEFAULT_SCAN_BUDGET,
@@ -33,14 +38,16 @@ from paritygraph.scanner import (
     witness_candidates,
 )
 from paritygraph.transforms import (
-    SPLITTING_VERTEX_LIMIT,
     is_even_splitting_of,
     splitting_traces,
     subdivide_edge,
+    subdivision_trace,
 )
 
 from conftest import (
+    compatible_by_brute_force,
     edge_subsets_by_gosper,
+    even_splittings,
     grid,
     is_connected,
     k23,
@@ -48,6 +55,7 @@ from conftest import (
     k4,
     odd_contractions_by_building,
     relabelled,
+    splitting_by_bfs,
     square,
     subdivided,
     subdivision_scan_without_skips,
@@ -109,6 +117,26 @@ def test_verify_witness_is_false_when_the_contracted_edges_are_no_odd_circuit():
             w.base_name, w.subgraph_edges, contracted, w.splitting_trace, w.circuit_parities
         )
         assert verify_witness(o2, j, forged) is False
+
+
+def test_verify_witness_is_false_on_unknown_edges_and_non_circuits():
+    # a forged witness on K_{2,3} whose subgraph names an edge g lacks, or
+    # whose listed even circuit is no circuit, is false; both once raised
+    # InputError ("unknown edge ids in subgraph: [99]", "edge set [1, 2]
+    # is not 2-regular")
+    g, j = k23(), ParityAssignment.all_odd()
+    w = find_witness(g, j)
+    assert verify_witness(g, j, w)
+    unknown = ForbiddenWitness(
+        w.base_name, w.subgraph_edges | {99}, None, w.splitting_trace, w.circuit_parities
+    )
+    (_, parity), *rest = w.circuit_parities
+    path = ForbiddenWitness(
+        w.base_name, w.subgraph_edges, None, w.splitting_trace,
+        ((frozenset({1, 2}), parity), *rest),
+    )
+    for forged in (unknown, path):
+        assert verify_witness(g, j, forged) is False
 
 
 def test_scan_all_even_examples():
@@ -208,7 +236,7 @@ K23_PAIRS = [(e.u, e.v) for e in k23().edges]
 def test_theta_parity_patterns_match_splitting_detector():
     # a theta graph is a splitting of O1 iff all three path lengths are
     # even, and of E1 iff all three are odd; both bases go by the chain
-    # walk, so thetas over the splitting search's limit answer too
+    # walk, so thetas over 14 vertices answer too
     for a, b, c in itertools.combinations_with_replacement(range(1, 7), 3):
         if a == 1 and b == 1 and c == 1:
             g = triple_edge()
@@ -221,32 +249,41 @@ def test_theta_parity_patterns_match_splitting_detector():
             assert found == expected, (name, a, b, c)
 
 
-def d3_over_the_limit() -> Multigraph:
+def d3_subdivision() -> Multigraph:
     """D3 with one edge made a 9-edge path: 15 vertices, one over the
-    splitting search's limit, and the size of a D3 splitting."""
+    vertex limit the breadth-first splitting search once had, and the
+    size of a D3 splitting."""
     return subdivided([(e.u, e.v) for e in base_graph("D3").edges], (9,) + (1,) * 9)
 
 
-def test_splitting_vertex_limit_binds_only_the_splitting_search():
-    # K_{2,3} with one edge made an 11-edge path: 15 vertices, one over
-    # the limit, and an even subdivision of O1.  No D base has its size,
-    # so every scan walks its chains and finds the same witness.
+def test_scans_over_fourteen_vertices_find_their_witnesses():
+    # K_{2,3} with one edge made an 11-edge path: 15 vertices and an even
+    # subdivision of O1, so every scan walks its chains and finds the same
+    # witness
     big = subdivided(K23_PAIRS, (11, 1, 1, 1, 1, 1))
-    assert big.n_vertices == SPLITTING_VERTEX_LIMIT + 1
+    assert big.n_vertices == 15
     w = scan_all_odd(big)
     assert w == find_witness(big, ParityAssignment.all_odd())
     assert w is not None and w.base_name == "O1" and w.odd_circuit_contracted is None
     assert w.subgraph_edges == big.edge_id_set and len(w.splitting_trace.steps) == 5
     assert verify_witness(big, ParityAssignment.all_odd(), w)
-    # the D3 subdivision makes find_witness run the search for D3, which
-    # refuses it; the all-odd and all-even scans look for no D base
-    g = d3_over_the_limit()
-    with pytest.raises(CapabilityError, match="splitting search"):
-        find_witness(g, ParityAssignment.all_odd(), 10**6)
+    # the D3 subdivision once raised CapabilityError in find_witness.  Now
+    # all-odd, which D3's rule does not trigger, has no witness, and one
+    # even circuit prescribed even makes the whole graph a D3 witness
+    g = d3_subdivision()
+    assert find_witness(g, ParityAssignment.all_odd(), 10**6) is None
     assert scan_all_odd(g, 10**6) is None and scan_all_even(g, 10**6) is None
-    # at and just under the limit both scanners find the same witness
+    evens = even_circuits(g)
+    for i in range(len(evens)):
+        j = ParityAssignment.from_map(
+            {c.edge_set: Parity.EVEN if k == i else Parity.ODD for k, c in enumerate(evens)}
+        )
+        w = find_witness(g, j, 10**6)
+        assert w is not None and w.base_name == "D3" and w.subgraph_edges == g.edge_id_set
+        assert len(w.splitting_trace.steps) == 4 and verify_witness(g, j, w)
+    # at and just under 14 vertices both scanners find the same witness
     at_limit = theta(5, 5, 5)
-    assert at_limit.n_vertices == SPLITTING_VERTEX_LIMIT
+    assert at_limit.n_vertices == 14
     w = scan_all_even(at_limit)
     assert w == find_witness(at_limit, ParityAssignment.all_even())
     assert w is not None and w.base_name == "E1"
@@ -489,7 +526,7 @@ def test_grid_4x4_scans_stop_at_the_budget_in_little_memory():
     assert peak < 20 * 2**20
 
 
-# -- the even-circuit skip and the refuted-class memo -------------------
+# -- the even-circuit skip and the edge excess gate ---------------------
 
 
 def skip_oracle_graphs():
@@ -532,8 +569,8 @@ def test_every_candidate_holds_its_base_count_of_even_circuits():
 
 def test_every_matched_graph_is_loop_free_with_degrees_at_least_two(monkeypatch):
     # no subset holds a loop, and no odd contraction turns a chord into
-    # a loop or leaves the contracted vertex one edge, so the chain walk
-    # serves every base of maximum degree three in every scan
+    # a loop or leaves the contracted vertex one edge, so every graph a
+    # scan offers lies in the matcher's domain and none is refused
     offered = []
 
     def counted(h, bases):
@@ -551,10 +588,11 @@ def test_every_matched_graph_is_loop_free_with_degrees_at_least_two(monkeypatch)
         assert all(h.degree(v) >= 2 for v in h.vertex_ids), [(e.id, e.u, e.v) for e in h.edges]
 
 
-@pytest.mark.parametrize("g, calls", [(wheel(7), 189), (wheel(8), 254)])
+@pytest.mark.parametrize("g, calls", [(wheel(7), 1316), (wheel(8), 3498)])
 def test_cold_wheel_splitting_search_counts_are_pinned(g, calls, monkeypatch):
-    # 2270 and 6779 matches with neither skip; 209 and 327 before the
-    # stream matched only subsets at a base's edge excess
+    # 2270 and 6779 matches with neither skip; 189 and 254 behind the memo
+    # of refuted graph keys that the matcher needed while D2-D4 ran a
+    # breadth-first search
     made = []
 
     def counted(h, bases):
@@ -598,23 +636,14 @@ def test_cold_w8_builds_only_the_odd_contractions_it_yields(monkeypatch):
     assert len(built) == len(yielded) == 2800
 
 
-def test_vertex_limit_fires_before_any_key_is_computed(monkeypatch):
-    def no_key(h):
-        raise AssertionError("canonical key computed")
-
-    monkeypatch.setattr(scanner, "canonical_key", no_key)
-    monkeypatch.setattr(transforms, "canonical_key", no_key)
-    with pytest.raises(CapabilityError, match="splitting search"):
-        witness_candidates.__wrapped__(d3_over_the_limit(), 10**6)
-
-
 def test_subset_with_too_few_even_circuits_is_not_contracted(tmp_path, capsys):
     # theta(1, 2, 15) has one even circuit; contracting its triangle leaves
-    # a 15-vertex graph, over the splitting limit.  find_witness used to
-    # raise CapabilityError there (CLI exit 2); the skip never builds that
-    # graph, so the scan completes with no witness (CLI exit 1).
+    # a 15-vertex graph.  find_witness once raised CapabilityError there
+    # (CLI exit 2), when the splitting search stopped at 14 vertices; the
+    # skip never builds that graph, and the scan completes with no witness
+    # (CLI exit 1).
     g = theta(1, 2, 15)
-    assert g.n_vertices == SPLITTING_VERTEX_LIMIT + 3 and len(even_circuits(g)) == 1
+    assert g.n_vertices == 17 and len(even_circuits(g)) == 1
     for j in (ParityAssignment.all_odd(), ParityAssignment.all_even()):
         assert find_witness(g, j, 10**6) is None
     assert scan_all_odd(g, 10**6) is None and scan_all_even(g, 10**6) is None
@@ -625,3 +654,111 @@ def test_subset_with_too_few_even_circuits_is_not_contracted(tmp_path, capsys):
         assignment.write_text(f"j-all {parity}\n")
         assert main(["scan", str(graph), str(assignment), "--budget", "1000000"]) == 1
         assert capsys.readouterr() == ("NO-WITNESS\n", "")
+
+
+# -- grown families whose first witness is each catalog base ------------
+
+
+def _grown_family(name: str, rng: random.Random, steps: int) -> Multigraph:
+    """Base ``name`` after ``steps`` random even splittings or odd
+    subdivisions (an edge made a 3-edge path), under shuffled ids.  Both
+    keep every circuit's parity, but a splitting that leaves two edges
+    on each side of a degree-4 vertex may add circuits, so only
+    splittings that keep the base's count of even circuits are taken.
+    Those that leave both sides branch vertices, which only a merge
+    undoes, go first."""
+    g = base_graph(name)
+    count = EVEN_CIRCUIT_COUNT[name]
+    for _ in range(steps):
+        splits = [h for h in even_splittings(g) if len(even_circuits(h)) == count]
+        # the fresh degree-2 vertex has the largest id
+        merges = [
+            h for h in splits
+            if all(h.degree(e.other(h.vertex_ids[-1])) >= 3 for e in h.incidence[h.vertex_ids[-1]])
+        ]
+        if rng.random() < 0.5:
+            g = rng.choice(merges or splits)
+        else:
+            g = subdivide_edge(g, rng.choice(g.edges).id, 3)
+    return relabelled(
+        g, rng.sample(range(-50, 80), g.n_vertices), rng.sample(range(-50, 80), g.n_edges)
+    )
+
+
+def _rule_assignments(name: str, g: Multigraph) -> tuple[ParityAssignment, ParityAssignment]:
+    """(one that triggers the parity rule of base ``name`` on ``g``, one
+    that does not): every even circuit odd, or exactly one even."""
+    evens = even_circuits(g)
+    none_even = ParityAssignment.all_odd()
+    one_even = ParityAssignment.from_map(
+        {c.edge_set: Parity.EVEN if i == 0 else Parity.ODD for i, c in enumerate(evens)}
+    )
+    return (none_even, one_even) if PARITY_RULE[name] == Parity.EVEN else (one_even, none_even)
+
+
+def _with_triangle(g: Multigraph, v: int) -> Multigraph:
+    """``g`` with the degree-3 vertex ``v`` blown up into a triangle, one
+    of its edges at each corner; contracting the triangle gives ``g``."""
+    a = max(g.vertex_ids) + 1
+    m = max(e.id for e in g.edges)
+    corner = {e.id: c for e, c in zip(g.incidence[v], (v, a, a + 1))}
+    edges = [
+        (e.id, corner[e.id], e.other(v)) if e.id in corner else (e.id, e.u, e.v) for e in g.edges
+    ]
+    edges += [(m + 1, v, a), (m + 2, a, a + 1), (m + 3, v, a + 1)]
+    return Multigraph.build(list(g.vertex_ids) + [a, a + 1], edges)
+
+
+@pytest.mark.parametrize("name", WITNESS_BASES)
+def test_each_base_is_the_first_witness_of_its_grown_families(name):
+    # 0-3 growth steps, and for D1-D4 more, up to 15 or 16 vertices.  Such
+    # a D witness spans 18 or 19 edges, and its mask ranks above the
+    # default budget among the masks of 3 or more edges, so those scans
+    # get 10**6.  An assignment that triggers the base's rule is answered
+    # by the whole graph as that base, directly; one that does not has
+    # no witness, and decide agrees with both, as does the brute force
+    # over orientations up to 10 edges.  In the D2-D4 families some walk
+    # ends still need merges to reach the base
+    rng = random.Random(f"family {name}")
+    base = base_graph(name)
+    most = max(3, (16 - base.n_vertices) // 2) if name.startswith("D") else 3
+    over_14 = merged = 0
+    for steps in range(most + 1):
+        g = _grown_family(name, rng, steps)
+        assert len(even_circuits(g)) == EVEN_CIRCUIT_COUNT[name]
+        budget = DEFAULT_SCAN_BUDGET if g.n_edges <= 17 else 10**6
+        triggered, untouched = _rule_assignments(name, g)
+        w = find_witness(g, triggered, budget)
+        assert w.base_name == name and w.odd_circuit_contracted is None
+        assert w.subgraph_edges == g.edge_id_set and len(w.splitting_trace.steps) == steps
+        assert verify_witness(g, triggered, w)
+        assert isinstance(decide(g, triggered), IntractableCertificate)
+        assert find_witness(g, untouched, budget) is None
+        assert not isinstance(decide(g, untouched), IntractableCertificate)
+        if g.n_vertices <= 14:
+            assert w.splitting_trace == splitting_by_bfs(g, [base])[0]
+        if g.n_edges <= 10:
+            assert not compatible_by_brute_force(g, triggered)
+            assert compatible_by_brute_force(g, untouched)
+        over_14 += g.n_vertices > 14
+        merged += subdivision_trace(g).to_graph.n_edges > base.n_edges
+    assert over_14 == (1 if name.startswith("D") else 0)
+    assert (merged > 0) == (name in ("D2", "D3", "D4"))
+    # a vertex blown up into a triangle: the O1 and E1 families become
+    # splittings of O2 and E2, which find_witness matches directly, and
+    # the all-odd and all-even scans find O1 and E1 after contracting it
+    if name in ("O1", "E1"):
+        g = _grown_family(name, rng, 2)
+        v = next(v for v in g.vertex_ids if g.degree(v) == 3)
+        blown = _with_triangle(g, v)
+        assert len(even_circuits(blown)) == 3
+        if name == "O1":
+            j, scan, direct = ParityAssignment.all_odd(), scan_all_odd, "O2"
+        else:
+            j, scan, direct = ParityAssignment.all_even(), scan_all_even, "E2"
+        w = find_witness(blown, j)
+        assert w.base_name == direct and w.odd_circuit_contracted is None
+        assert verify_witness(blown, j, w)
+        w = scan(blown)
+        assert w.base_name == name and len(w.odd_circuit_contracted) == 3
+        assert verify_witness(blown, j, w)

@@ -158,11 +158,34 @@ def test_subdivision_roundtrips_randomized(small_corpus):
     assert done >= 1000
 
 
+def _sized(h: Multigraph, b: Multigraph) -> bool:
+    """The size test of ``splitting_traces``: every step drops two edges
+    and two vertices."""
+    diff = h.n_edges - b.n_edges
+    return diff >= 0 and not diff % 2 and diff == h.n_vertices - b.n_vertices
+
+
+def _pendant(h: Multigraph) -> bool:
+    return any(h.degree(v) == 1 for v in h.vertex_ids)
+
+
+def assert_out_of_domain(h: Multigraph, b: Multigraph) -> None:
+    """``h`` has a vertex of degree one or the chain walk would shorten
+    ``b``: the matcher refuses the pair exactly when ``b`` passes the
+    size test, and otherwise answers None."""
+    if _sized(h, b):
+        with pytest.raises(CapabilityError, match="splitting match needs"):
+            splitting_traces(h, [b])
+    else:
+        assert splitting_traces(h, [b]) == [None]
+
+
 def test_splitting_equals_subdivision_at_max_degree_three(small_corpus):
     # when no vertex exceeds degree 3, every even splitting is an even
-    # subdivision, so the splitting search agrees with the chain-parity
-    # reduction for the low-degree bases
-    checked = 0
+    # subdivision, so the matcher agrees with the chain-parity reduction
+    # for the low-degree bases; an input with a vertex of degree one is
+    # outside the matcher's domain
+    checked = refused = 0
     for g in small_corpus:
         if g.n_edges < 3 or any(e.is_loop for e in g.edges):
             continue
@@ -171,11 +194,15 @@ def test_splitting_equals_subdivision_at_max_degree_three(small_corpus):
         reduced = subdivision_trace(g).to_graph
         for name in ("O1", "E1"):
             base = base_graph(name)
+            if _pendant(g):
+                assert_out_of_domain(g, base)
+                refused += _sized(g, base)
+                continue
             by_search = is_even_splitting_of(g, base) is not None
             by_reduction = isomorphic(reduced, base)
             assert by_search == by_reduction, (name, [(e.id, e.u, e.v) for e in g.edges])
             checked += 1
-    assert checked >= 20
+    assert (checked, refused) == (18, 1)
 
 
 def test_is_even_splitting_identity_and_subdivision():
@@ -332,10 +359,12 @@ def test_subdivision_trace_equals_the_oracles_on_random_subdivisions():
 
 
 def test_one_search_for_all_bases_equals_one_search_per_base():
-    # sharing one exploration and stopping once every base is found must
-    # not change any base's trace
+    # sharing one walk across the bases must not change any base's trace
     bases = [base_graph(name) for name in WITNESS_BASES]
-    graphs = [g for g in connected_multigraphs(5, 8)[::7] if not any(e.is_loop for e in g.edges)]
+    graphs = [
+        g for g in connected_multigraphs(5, 8)[::7]
+        if not any(e.is_loop for e in g.edges) and not _pendant(g)
+    ]
     for name, b in zip(WITNESS_BASES, bases):
         for eid in sorted(b.edge_id_set):
             h = subdivide_edge(b, eid, 3)
@@ -353,27 +382,21 @@ def _with_pendant_path(g: Multigraph, v: int) -> Multigraph:
     return Multigraph.build(list(g.vertex_ids) + [a, a + 1], edges)
 
 
-def test_splitting_traces_equal_the_oracles_on_every_small_base(monkeypatch):
-    # the matcher picks the chain walk or the search per base and input.
-    # Every loop-free corpus graph serves as a base, against two of its
+def test_splitting_traces_equal_the_oracles_on_every_small_base():
+    # every loop-free corpus graph serves as a base, against two of its
     # even splittings and a subdivision (all of them at maximum degree
-    # three), itself with a pendant 2-edge path (a vertex of degree one,
-    # which only the search may absorb) and two graphs grown from other
-    # bases with the same edge excess
-    walks = []
-
-    def counted(h):
-        walks.append(h)
-        return subdivision_trace(h)
-
-    monkeypatch.setattr(transforms, "subdivision_trace", counted)
+    # three), itself with a pendant 2-edge path and two graphs grown from
+    # other bases with the same edge excess.  Inside the matcher's domain
+    # (no input vertex of degree one, a base the chain walk leaves as it
+    # is) the traces equal both oracles'; outside it the matcher refuses
+    # exactly the pairs that pass the size test.  A base the walk would
+    # shorten is replaced by its walk end, which is in the domain
     rng = random.Random(58)
     bases = [b for b in connected_multigraphs(5, 8) if b.edges and not any(e.is_loop for e in b.edges)]
     own = []
     for b in bases:
         splits = even_splittings(b)
         if all(b.degree(v) <= 3 for v in b.vertex_ids):
-            # every splitting and subdivision, where the walk may serve
             hs = splits + [subdivide_edge(b, e.id, 3) for e in b.edges]
         else:
             hs = rng.sample(splits, min(2, len(splits)))
@@ -383,22 +406,30 @@ def test_splitting_traces_equal_the_oracles_on_every_small_base(monkeypatch):
     by_excess: dict[int, list[Multigraph]] = {}
     for h in (h for hs in own for h in hs):
         by_excess.setdefault(h.n_edges - h.n_vertices, []).append(h)
-    calls = traces = 0
+    calls = traces = refused = 0
     for b, hs in zip(bases, own):
         pool = [h for h in by_excess[b.n_edges - b.n_vertices] if h.n_edges >= b.n_edges]
+        end = subdivision_trace(b).to_graph
         for h in hs + rng.sample(pool, min(2, len(pool))):
-            [t] = splitting_traces(h, [b])
-            assert t == splitting_by_dfs(h, b) == splitting_by_bfs(h, [b])[0], (
-                [(e.id, e.u, e.v) for e in b.edges], [(e.id, e.u, e.v) for e in h.edges]
+            if _pendant(h) or end != b:
+                assert_out_of_domain(h, b)
+                refused += _sized(h, b)
+            if _pendant(h):
+                continue
+            [t] = splitting_traces(h, [end])
+            assert t == splitting_by_dfs(h, end) == splitting_by_bfs(h, [end])[0], (
+                [(e.id, e.u, e.v) for e in end.edges], [(e.id, e.u, e.v) for e in h.edges]
             )
             calls += 1
             traces += t is not None
-    assert (len(bases), calls, traces, len(walks)) == (504, 3391, 2404, 203)
+    assert (len(bases), calls, traces, refused) == (504, 1320, 935, 2140)
 
 
-def test_the_chain_walk_serves_only_walk_ends_of_maximum_degree_three():
-    # over the search's vertex limit, a base the chain walk serves gets
-    # an answer and any other base raises
+def test_splitting_traces_refuse_only_pendant_inputs_and_bases_the_walk_shortens():
+    # over 14 vertices, where the breadth-first search once stopped, every
+    # base in the domain gets an answer, D2 included; a cycle and a theta
+    # base the walk would shorten further, and an input with a vertex of
+    # degree one, are refused once they pass the size test
     def cycle(n):
         return Multigraph.from_pairs([(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -410,16 +441,22 @@ def test_the_chain_walk_serves_only_walk_ends_of_maximum_degree_three():
     assert len(is_even_splitting_of(c16, cycle(2)).steps) == 7
     assert len(is_even_splitting_of(theta_long, base_graph("E1")).steps) == 7
     d2 = base_graph("D2")
+    d2_long = subdivided([(e.u, e.v) for e in d2.edges], (9,) + (1,) * 10)
+    assert d2_long.n_vertices == 16
+    trace = is_even_splitting_of(d2_long, d2)
+    assert trace == splitting_by_dfs(d2_long, d2, vertex_limit=16)
+    assert len(trace.steps) == 4 and canonical_key(trace.replay()) == canonical_key(d2)
     k23_pairs = [(e.u, e.v) for e in k23().edges]
+    pendant = _with_pendant_path(subdivided(k23_pairs, (9, 1, 1, 1, 1, 1)), 1)
     for h, b in [
         (c16, square()),  # a cycle: the walk would shorten it further
         (theta_long, theta(1, 1, 3)),  # adjacent degree-2 vertices
-        (subdivided([(e.u, e.v) for e in d2.edges], (9,) + (1,) * 10), d2),  # degree four
-        (_with_pendant_path(subdivided(k23_pairs, (9, 1, 1, 1, 1, 1)), 1), k23()),
+        (pendant, k23()),
     ]:
-        assert h.n_vertices > 14
-        with pytest.raises(CapabilityError, match="splitting search"):
-            splitting_traces(h, [b])
+        assert h.n_vertices > 14 and _sized(h, b)
+        assert_out_of_domain(h, b)
+    # a base that fails the size test is refuted, pendant input or not
+    assert splitting_traces(pendant, [base_graph("E1")]) == [None]
 
 
 def test_lift_through_subdivision():
