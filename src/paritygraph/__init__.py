@@ -10,7 +10,6 @@ from .circuits import (
     is_even_circuit_connected,
 )
 from .graphs import (
-    ContractionMap,
     Edge,
     Multigraph,
     Orientation,
@@ -30,7 +29,6 @@ from .solver import (
 
 __all__ = [
     "Circuit",
-    "ContractionMap",
     "Edge",
     "IntractableCertificate",
     "Multigraph",

@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--all-odd", action="store_true")
     s.add_argument("--all-even", action="store_true")
     s.add_argument("--default-parity", choices=["odd", "even"])
-    s.add_argument("--budget", type=int)  # None: the scanner's default
+    s.add_argument("--budget", type=int, help=(  # None: the scanner's default
+        "masks to count before giving up (default 200000); every edge mask of at least"
+        " the smallest base's size counts, so a scan over all m edges needs the sum of"
+        " C(m, s) for s from 3 (6 with --all-odd) to m: 261972 for 18 edges"))
     s.add_argument("--cross-check", action="store_true")
     s.add_argument("--dot", action="store_true")
     s.set_defaults(func=cmd_scan)

@@ -139,10 +139,10 @@ def emit_certificate_block(cert: IntractableCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Multigraph, highlight: Optional[frozenset[int]] = None, name: str = "g") -> str:
+def to_dot(g: Multigraph, highlight: Optional[frozenset[int]] = None) -> str:
     """A Graphviz rendering; highlighted edges come out bold red."""
     highlight = highlight or frozenset()
-    lines = [f"graph {name} {{"]
+    lines = ["graph g {"]
     for v in g.vertex_ids:
         lines.append(f"  {v};")
     for e in g.edges:

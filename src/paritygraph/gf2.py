@@ -8,7 +8,7 @@ column as pivot, which makes every result bit-for-bit deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 
@@ -64,9 +64,11 @@ class Gf2Matrix:
 
 @dataclass(frozen=True)
 class Inconsistency:
-    """Rows summing to zero while their right-hand sides sum to one."""
+    """Rows summing to zero while their right-hand sides sum to one, and
+    the matrix's ``left_nullspace_basis``."""
 
     row_combination: frozenset[int]
+    nullspace: list[frozenset[int]]
 
 
 def _eliminate(a: Gf2Matrix, rhs: Sequence[int] | None):
@@ -101,8 +103,19 @@ def _eliminate(a: Gf2Matrix, rhs: Sequence[int] | None):
     return work, pivots
 
 
-def _solve(a: Gf2Matrix, b: Sequence[int]):
-    """(work, solution or Inconsistency) of a.x = b; see solve."""
+def _nullspace_basis(work) -> list[frozenset[int]]:
+    basis = [frozenset(bits_to_indices(combo)) for row_bits, combo, _ in work if not row_bits]
+    basis.sort(key=lambda rows: (len(rows), sorted(rows)))
+    return basis
+
+
+def solve(a: Gf2Matrix, b: Sequence[int]) -> Union[tuple[int, ...], Inconsistency]:
+    """A solution of a.x = b with free variables zero, or an Inconsistency.
+
+    The inconsistency names original row indices whose GF(2) sum is the
+    zero vector while the matching right-hand sides sum to one.  Pivot
+    choice never reads ``b``, so its nullspace is ``left_nullspace_basis``.
+    """
     if len(b) != a.n_rows:
         raise InputError(
             f"right-hand side has {len(b)} entries for {a.n_rows} rows"
@@ -110,49 +123,14 @@ def _solve(a: Gf2Matrix, b: Sequence[int]):
     work, pivots = _eliminate(a, b)
     for row_bits, combo, rhs_bit in work:
         if row_bits == 0 and rhs_bit:
-            return work, Inconsistency(frozenset(bits_to_indices(combo)))
+            return Inconsistency(frozenset(bits_to_indices(combo)), _nullspace_basis(work))
     x = [0] * a.width
     for col, i in pivots.items():
         x[col] = work[i][2]  # reduced echelon: rhs bit is the value
-    return work, tuple(x)
-
-
-def solve(a: Gf2Matrix, b: Sequence[int]) -> Union[tuple[int, ...], Inconsistency]:
-    """A solution of a.x = b with free variables zero, or an Inconsistency.
-
-    The inconsistency names original row indices whose GF(2) sum is the
-    zero vector while the matching right-hand sides sum to one.
-    """
-    return _solve(a, b)[1]
-
-
-def _by_size(rows: frozenset[int]) -> tuple[int, list[int]]:
-    return len(rows), sorted(rows)
-
-
-def _nullspace_basis(work) -> list[frozenset[int]]:
-    basis = [frozenset(bits_to_indices(combo)) for row_bits, combo, _ in work if not row_bits]
-    basis.sort(key=_by_size)
-    return basis
-
-
-def solve_with_nullspace(
-    a: Gf2Matrix, b: Sequence[int]
-) -> tuple[Union[tuple[int, ...], Inconsistency], Optional[list[frozenset[int]]]]:
-    """``(solve(a, b), left_nullspace_basis(a))`` from one elimination.
-
-    Pivot choice never reads ``b``, so the rows this elimination reduces
-    to zero are the ones ``left_nullspace_basis`` reads.  The basis is
-    only built for an inconsistent system and is None otherwise.
-    """
-    work, result = _solve(a, b)
-    if isinstance(result, Inconsistency):
-        return result, _nullspace_basis(work)
-    return result, None
+    return tuple(x)
 
 
 def left_nullspace_basis(a: Gf2Matrix) -> list[frozenset[int]]:
     """Row-index sets whose rows sum to zero, one per dependency."""
     work, _ = _eliminate(a, None)
     return _nullspace_basis(work)
-

@@ -59,14 +59,6 @@ class Edge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ContractionMap:
-    """Bookkeeping for a contraction: where vertices went, which edges survive."""
-
-    vertex_image: dict[int, int]
-    surviving_edges: dict[int, int]
-
-
-@dataclass(frozen=True)
 class Multigraph:
     vertex_ids: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -163,8 +155,9 @@ class Multigraph:
             vs.add(e.v)
         return Multigraph(tuple(sorted(vs)), tuple(es))
 
-    def contract_edges(self, contracted: Iterable[int]) -> tuple["Multigraph", ContractionMap]:
-        """Identify the endpoints of every contracted edge.
+    def contract_edges(self, contracted: Iterable[int]) -> tuple["Multigraph", dict[int, int]]:
+        """Identify the endpoints of every contracted edge; returns the
+        contracted graph and the image of each vertex.
 
         Surviving edges keep their ids; edges whose endpoints merge become
         loops and are retained.  Merged vertex classes are named by their
@@ -198,7 +191,6 @@ class Multigraph:
         image = {v: find(v) for v in self.vertex_ids}
         new_vertices = sorted(set(image.values()))
         new_edges = []
-        surviving: dict[int, int] = {}
         for e in self.edges:
             if e.id in contracted:
                 continue
@@ -206,9 +198,7 @@ class Multigraph:
             if u > v:
                 u, v = v, u
             new_edges.append(Edge(e.id, u, v))
-            surviving[e.id] = e.id
-        h = Multigraph(tuple(new_vertices), tuple(new_edges))
-        return h, ContractionMap(image, surviving)
+        return Multigraph(tuple(new_vertices), tuple(new_edges)), image
 
 
 @dataclass(frozen=True)

@@ -131,86 +131,78 @@ def _edge_subsets(
     base nor an odd circuit plus arcs.
 
     Bit i of a mask is ``g.edges[i]``.  Masks come lazily in (size, mask)
-    order, from ``_pruned_walk``.  The budget still counts every mask of
-    at least ``min_size`` edges, loops and cut ones included: the walk
-    stops at the mask of rank ``budget`` in that order and raises
-    ResourceLimitError there, after yielding every kept mask below it.
+    order.  The budget still counts every mask of at least ``min_size``
+    edges, loops and cut ones included: the walk stops at the mask of
+    rank ``budget`` in that order and raises ResourceLimitError there,
+    after yielding every kept mask below it.
+
+    Per size a depth-first walk over the non-loop edges decides the bits
+    from the highest down, the 0-branch first, so masks come in ascending
+    order.  It cuts a branch as soon as a vertex it touched has degree
+    one and no edge left below to take; connectivity is tested at the
+    leaves.
     """
-    m = len(g.edges)
+    edges = g.edges
+    m = len(edges)
     min_size = max(min_size, 1)
     stop = _nth_mask(budget, min_size, m)
-    walk = [i for i, (_, u, v) in enumerate(g.edges) if u != v]
+    walk = [i for i, (_, u, v) in enumerate(edges) if u != v]
     # a size above the number of non-loop edges has no mask to yield
     last = min(stop[0] if stop else m, len(walk))
     if min_size <= last:
-        yield from _pruned_walk(g, walk, min_size, last, stop)
+        vbit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+        stars = _stars(g)
+        touching = [stars[u] | stars[v] for _, u, v in edges]  # edges sharing a vertex
+        walk_ends = [vbit[edges[i].u] | vbit[edges[i].v] for i in walk]
+        # dead[q]: the vertices with no edge at a walk index below q
+        dead = [(1 << len(vbit)) - 1]
+        for b in walk_ends:
+            dead.append(dead[-1] & ~b)
+
+        def connected(mask: int) -> bool:
+            reached = mask & -mask
+            frontier = reached
+            while frontier:
+                grown = 0
+                for i in bits_to_indices(frontier):
+                    grown |= touching[i]
+                frontier = grown & mask & ~reached
+                reached |= frontier
+            return reached == mask
+
+        for size in range(min_size, last + 1):
+            # no mask at or above the bound is walked; only the last size has one
+            bound = stop[1] if stop and stop[0] == size else 1 << m
+            # (walk indices left, edges still to take, mask, degree-1 vertices, degree >= 2 ones)
+            stack = [(len(walk), size, 0, 0, 0)]
+            while stack:
+                top, left, mask, once, more = stack.pop()
+                if left == 1:  # the last edge, ascending; it must leave no degree-1 vertex
+                    for q in range(top):
+                        if walk_ends[q] & ~more == once:
+                            leaf = mask | 1 << walk[q]
+                            if leaf >= bound:  # so is every later mask: end the walk
+                                stack.clear()
+                                break
+                            if connected(leaf):
+                                yield leaf, frozenset(edges[i].id for i in bits_to_indices(leaf))
+                    continue
+                for q in range(top - 1, left - 2, -1):  # pushed descending, so popped ascending
+                    if once & dead[q + 1]:
+                        break
+                    child = mask | 1 << walk[q]
+                    if child >= bound:
+                        continue
+                    b = walk_ends[q]
+                    grown = more | (once & b)
+                    single = (once ^ b) & ~grown
+                    if not single & dead[q]:
+                        stack.append((q, left - 1, child, single, grown))
     if stop:
         raise ResourceLimitError(
             f"witness scan budget of {budget} subsets exhausted; "
             f"the search covered subsets of at most {stop[0]} edges", budget
         )
-
-
-def _pruned_walk(
-    g: Multigraph, walk: list[int], first: int, last: int, stop: Optional[tuple[int, int]]
-) -> Iterator[tuple[int, frozenset[int]]]:
-    """The subsets ``_edge_subsets`` yields, of ``first`` to ``last`` edges
-    taken from the positions in ``walk``, and below the mask of ``stop``
-    at its size.
-
-    Per size a depth-first walk decides the bits from the highest down,
-    the 0-branch first, so masks come in ascending order.  It cuts a
-    branch as soon as a vertex it touched has degree one and no edge left
-    below to take; connectivity is tested at the leaves.
-    """
-    edges = g.edges
-    vbit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
-    stars = _stars(g)
-    touching = [stars[u] | stars[v] for _, u, v in edges]  # edges sharing a vertex
-    walk_ends = [vbit[edges[i].u] | vbit[edges[i].v] for i in walk]
-    # dead[q]: the vertices with no edge at a walk index below q
-    dead = [(1 << len(vbit)) - 1]
-    for b in walk_ends:
-        dead.append(dead[-1] & ~b)
-
-    def connected(mask: int) -> bool:
-        reached = mask & -mask
-        frontier = reached
-        while frontier:
-            grown = 0
-            for i in bits_to_indices(frontier):
-                grown |= touching[i]
-            frontier = grown & mask & ~reached
-            reached |= frontier
-        return reached == mask
-
-    for size in range(first, last + 1):
-        # no mask at or above the bound is walked
-        bound = stop[1] if stop and stop[0] == size else 1 << len(edges)
-        # (walk indices left, edges still to take, mask, degree-1 vertices, degree >= 2 ones)
-        stack = [(len(walk), size, 0, 0, 0)]
-        while stack:
-            top, left, mask, once, more = stack.pop()
-            if left == 1:  # the last edge, ascending; it must leave no degree-1 vertex
-                for q in range(top):
-                    if walk_ends[q] & ~more == once:
-                        leaf = mask | 1 << walk[q]
-                        if leaf >= bound:
-                            return
-                        if connected(leaf):
-                            yield leaf, frozenset(edges[i].id for i in bits_to_indices(leaf))
-                continue
-            for q in range(top - 1, left - 2, -1):  # pushed descending, so popped ascending
-                if once & dead[q + 1]:
-                    break
-                child = mask | 1 << walk[q]
-                if child >= bound:
-                    continue
-                b = walk_ends[q]
-                grown = more | (once & b)
-                single = (once ^ b) & ~grown
-                if not single & dead[q]:
-                    stack.append((q, left - 1, child, single, grown))
 
 
 def _circuit_masks(
@@ -393,10 +385,12 @@ def scan_all_even(
 def verify_witness(g: Multigraph, j: ParityAssignment, w: ForbiddenWitness) -> bool:
     """Independently re-check a witness: replay the trace, re-match the
     base, recount the parity rule, and confirm the lifted circuits form an
-    intractable set for ``j``.  Subgraph edges that ``g`` lacks, a
-    contracted edge set that is not an odd circuit of the subgraph, a
-    trace step that does not apply, or a listed edge set that is not a
-    circuit of ``g`` makes the witness false."""
+    intractable set for ``j``.  A base outside ``WITNESS_BASES``, subgraph
+    edges that ``g`` lacks, a contracted edge set that is no odd circuit of
+    the subgraph, a trace step that does not apply, or a listed edge set
+    that is no circuit of ``g`` makes the witness false."""
+    if w.base_name not in WITNESS_BASES:
+        return False
     try:
         sub = g.subgraph(w.subgraph_edges)
     except InputError:

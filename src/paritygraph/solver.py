@@ -182,9 +182,9 @@ def solve_circuits(
         return base  # nothing to satisfy
     a, cols = circuit_matrix(circuits)
     rhs = _rhs(circuits, j, base)
-    result, basis = gf2.solve_with_nullspace(a, rhs)
+    result = gf2.solve(a, rhs)
     if isinstance(result, gf2.Inconsistency):
-        rows = _minimal_odd_combination(basis, rhs, result.row_combination)
+        rows = _minimal_odd_combination(result.nullspace, rhs, result.row_combination)
         chosen = tuple(circuits[i] for i in sorted(rows))
         return IntractableCertificate(chosen, *_even_count_parities(chosen, j, base))
     return base.with_flipped([cols[i] for i, bit in enumerate(result) if bit])
@@ -245,8 +245,11 @@ def is_intractable_set(
 def certificate_is_valid(
     g: Multigraph, j: ParityAssignment, cert: IntractableCertificate
 ) -> bool:
-    """Re-check a certificate's invariants from scratch."""
-    if not is_intractable_set(g, j, cert.circuits):
+    """Re-check a certificate's invariants from scratch; a forgery is False."""
+    try:
+        if not is_intractable_set(g, j, cert.circuits):
+            return False
+    except InputError:
         return False
     return _even_count_parities(cert.circuits, j, Orientation.reference(g)) == (
         cert.observed_even_count_parity,

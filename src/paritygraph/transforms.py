@@ -31,7 +31,7 @@ from .circuits import (
     even_circuits,
 )
 from .errors import CapabilityError, InputError
-from .graphs import ContractionMap, Multigraph, canonical_key
+from .graphs import Multigraph, canonical_key
 from .solver import ParityAssignment
 
 
@@ -84,7 +84,7 @@ def _contractible(g: Multigraph, v: int) -> bool:
     return len(ends) == 2 and v not in ends and ends[0] != ends[1]
 
 
-def contract_degree2_pair(g: Multigraph, v: int) -> tuple[Multigraph, ContractionMap]:
+def contract_degree2_pair(g: Multigraph, v: int) -> tuple[Multigraph, dict[int, int]]:
     """Contract the two edges at a degree-2 vertex (inverse of splitting)."""
     if v not in g.incidence:
         raise InputError(f"unknown vertex {v}")
@@ -101,7 +101,7 @@ def degree2_options(g: Multigraph) -> list[int]:
 
 def contract_odd_circuit(
     g: Multigraph, edge_ids: frozenset[int]
-) -> tuple[Multigraph, ContractionMap]:
+) -> tuple[Multigraph, dict[int, int]]:
     c = circuit_from_edges(g, edge_ids)
     if c.is_even:
         raise InputError("expected an odd circuit to contract")

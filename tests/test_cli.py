@@ -1,5 +1,6 @@
 import codecs
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -400,6 +401,17 @@ def test_scan_without_budget_passes_the_scanners_default(files, capsys, monkeypa
             seen.clear()
             assert run(capsys, "scan", g, *argv, *flags)[:2] == (1, "NO-WITNESS\n")
             assert seen == [(name, budget)]
+
+
+def test_budget_help_names_the_default_and_the_full_scan_count(capsys):
+    # every mask of three or more edges counts, so all of an 18-edge graph
+    # takes the masks of 3..18 edges
+    with pytest.raises(SystemExit):
+        main(["scan", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {scanner.DEFAULT_SCAN_BUDGET})" in text
+    full = sum(math.comb(18, s) for s in range(3, 19))
+    assert full > scanner.DEFAULT_SCAN_BUDGET and f"{full} for 18 edges" in text
 
 
 _MODULES_CHILD = """

@@ -65,18 +65,18 @@ def test_subgraph_unknown_edge():
 
 def test_contract_triangle_in_k4_gives_triple_edge():
     g = k4()
-    h, cmap = g.contract_edges({1, 2, 4})  # triangle 1-2-3
+    h, image = g.contract_edges({1, 2, 4})  # triangle 1-2-3
     assert isomorphic(h, triple_edge())
     assert not any(e.is_loop for e in h.edges)
-    assert set(cmap.surviving_edges) == {3, 5, 6}
-    assert all(old == new for old, new in cmap.surviving_edges.items())
+    assert h.edge_id_set == g.edge_id_set - {1, 2, 4} == {3, 5, 6}
+    assert image == {1: 1, 2: 1, 3: 1, 4: 4}
 
 
 def test_contract_empty_is_identity():
     g = k23()
-    h, cmap = g.contract_edges(set())
+    h, image = g.contract_edges(set())
     assert h == g
-    assert cmap.vertex_image == {v: v for v in g.vertex_ids}
+    assert image == {v: v for v in g.vertex_ids}
 
 
 def test_contract_keeps_new_loops():
@@ -93,9 +93,16 @@ def test_contract_bookkeeping_is_bijection(small_corpus):
         ids = sorted(g.edge_id_set)
         for r in (1, 2):
             for combo in itertools.combinations(ids, r):
-                h, cmap = g.contract_edges(combo)
-                assert set(cmap.surviving_edges.values()) == set(h.edge_id_set)
-                assert len(cmap.surviving_edges) == len(h.edge_id_set)
+                h, image = g.contract_edges(combo)
+                # surviving edges keep their ids and join the images of their ends
+                assert h.edge_id_set == g.edge_id_set - set(combo)
+                assert h.n_edges == g.n_edges - len(combo)
+                for e in h.edges:
+                    old = g.by_id[e.id]
+                    assert {e.u, e.v} == {image[old.u], image[old.v]}
+                assert all(image[g.by_id[eid].u] == image[g.by_id[eid].v] for eid in combo)
+                assert set(image) == set(g.vertex_ids)
+                assert h.vertex_ids == tuple(sorted(set(image.values())))
 
 
 def test_bipartite_examples():

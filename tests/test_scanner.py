@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +39,7 @@ from paritygraph.scanner import (
     witness_candidates,
 )
 from paritygraph.transforms import (
+    SplittingTrace,
     is_even_splitting_of,
     splitting_traces,
     subdivide_edge,
@@ -137,6 +139,13 @@ def test_verify_witness_is_false_on_unknown_edges_and_non_circuits():
     )
     for forged in (unknown, path):
         assert verify_witness(g, j, forged) is False
+    # a base name that is no witness base is false before any lookup; a
+    # catalog entry once raised KeyError from EVEN_CIRCUIT_COUNT and an
+    # unknown name from catalog()
+    assert verify_witness(g, j, replace(w, base_name="X")) is False
+    a1 = base_graph("A1")
+    as_a1 = ForbiddenWitness("A1", a1.edge_id_set, None, SplittingTrace(a1, a1, ()), ())
+    assert verify_witness(a1, j, as_a1) is False
 
 
 def test_scan_all_even_examples():
@@ -452,6 +461,27 @@ def test_edge_subsets_equal_the_gosper_stream_on_grid_3x3_at_sampled_budgets():
         for budget in budgets:
             expected = _stream(edge_subsets_by_gosper(g, min_size, budget))
             assert _stream(_edge_subsets(g, min_size, budget)) == expected, (min_size, budget)
+
+
+def test_edge_subsets_do_no_set_up_when_no_size_can_be_walked(monkeypatch):
+    # a triangle with three loops: every mask counts against the budget,
+    # but the walk skips loops, so no size of four or more can be walked
+    g = Multigraph.build([1, 2, 3], [(1, 1, 2), (2, 2, 3), (3, 1, 3), (4, 1, 1), (5, 2, 2), (6, 3, 3)])
+
+    def no_set_up(_):
+        raise AssertionError("the walk was set up")
+
+    monkeypatch.setattr(scanner, "_stars", no_set_up)
+    total = sum(math.comb(6, s) for s in range(4, 7))
+    assert _stream(_edge_subsets(g, 4, total)) == ([], None)
+    for budget in (1, 15, total - 1):
+        got = _stream(_edge_subsets(g, 4, budget))
+        assert got == _stream(edge_subsets_by_gosper(g, 4, budget))
+        assert got[0] == [] and got[1][0] is ResourceLimitError
+        assert f"budget of {budget} subsets exhausted" in got[1][1]
+    # below the stop size the set-up runs, and only then
+    with pytest.raises(AssertionError, match="the walk was set up"):
+        list(_edge_subsets(g, 3, 1))
 
 
 def test_odd_contractions_equal_the_build_then_test_oracle():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from paritygraph import (
     is_intractable_set,
     verify_orientation,
 )
+from paritygraph.circuits import Circuit
 from paritygraph.errors import InputError
 from paritygraph.solver import certificate_is_valid
 
@@ -57,6 +59,22 @@ def test_k23_all_odd_incompatible_with_full_certificate():
     assert r.observed_even_count_parity == Parity.ODD
     assert r.prescribed_even_count_parity == Parity.EVEN
     assert certificate_is_valid(g, ParityAssignment.all_odd(), r)
+
+
+def test_certificate_with_a_member_that_is_no_circuit_of_g_is_invalid():
+    # each forgery once raised InputError ("edge set [1, 2, 4] is not
+    # 2-regular", "unknown edge ids in circuit: [98, 99]"); is_intractable_set
+    # itself still raises on them
+    g, j = k23(), ParityAssignment.all_odd()
+    cert = decide(g, j)
+    first, *rest = cert.circuits
+    path = Circuit(first.edge_ids[:3], first.sense[:3])
+    unknown = Circuit((98, 99), ((first.sense[0][0], 98), (first.sense[1][0], 99)))
+    for forged in (path, unknown):
+        forged_cert = replace(cert, circuits=(forged, *rest))
+        assert certificate_is_valid(g, j, forged_cert) is False
+        with pytest.raises(InputError):
+            is_intractable_set(g, j, forged_cert.circuits)
 
 
 def test_triple_edge_all_even_incompatible():
